@@ -89,10 +89,6 @@ def dd_div(x, y):
     return quick_two_sum(q1, q2)
 
 
-def dd_from_prod(a, b):
-    return two_prod(a, b)
-
-
 def dd_frac(x):
     """Fractional part of a double-double, collapsed to a float in [0, 1)."""
     hi, lo = x

@@ -25,6 +25,9 @@ from .superrevival import SuperrevivalPrediction
 DEFAULT_THRESHOLD = 0.3
 DEFAULT_SEPARATION_FACTOR = 0.6
 
+# Relative periodicity tolerance of a pass verdict.
+DEFAULT_TOLERANCE = 0.10
+
 
 @dataclass(frozen=True)
 class PeakTrain:
@@ -82,6 +85,7 @@ class VerificationEntry:
             "measured_si": None if self.measured is None else to_si(self.measured),
             "deviation": self.deviation,
             "peak_height": self.peak_height,
+            "n_peaks": self.n_peaks,
             "status": self.status,
         }
 
@@ -152,7 +156,7 @@ def verify(
     half_width: float | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     separation_factor: float = DEFAULT_SEPARATION_FACTOR,
-    tolerance: float = 0.10,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationEntry]:
     """Check each prediction's window of the signal for the predicted comb.
 

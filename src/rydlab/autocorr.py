@@ -2,17 +2,31 @@
 
 For a packet with squared amplitudes p_k = |c_k|^2,
 
-    |A(t)|^2 = | sum_k p_k exp(-i theta_k(t)) |^2,
+    |A(t)|^2 = | sum_k p_k exp(-2*pi*i nu_k t) |^2,
 
-where theta_k is either the exact energy-difference phase
-(E_{nbar+k} - E_{nbar}) t or its Taylor truncation
+where the phase model only chooses the cycle rate nu_k: the exact
+energy difference (E_{nbar+k} - E_{nbar}) / (2*pi) or its Taylor truncation
 
-    theta_k(t) = 2*pi * (k t/T_cl - k^2 t/t_rev + k^3 t/t_sr)
+    nu_k = k/T_cl - k^2/t_rev + k^3/t_sr
 
-to first, second, or third order.  Phases are reduced modulo 2*pi with
-compensated arithmetic so the absolute phase error stays far below 1e-6 rad
-even at t ~ t_sr (~1e13 a.u.), where naive products would have lost the
-fractional part entirely.
+to first, second, or third order.  Rates are held as double-double (hi, lo)
+pairs and every phase nu_k t is reduced modulo one cycle in compensated
+arithmetic, so the absolute phase error stays near 1e-16 cycles even at
+t ~ t_sr (~1e13 a.u.), where naive products would have lost the fractional
+part entirely.
+
+On a uniform grid one kernel evaluates every model.  The global sample
+index is split as i = B*j + m with B = isqrt(count), and
+
+    A[B*j + m] = sum_k U[j, k] V[k, m],
+    U[j, k] = p_k exp(-2*pi*i frac(nu_k t0 + nu_k dt B j)),
+    V[k, m] = exp(-2*pi*i frac(nu_k dt m)),
+
+so a grid of N samples and K terms costs K*(N/B + B) complex exponentials
+and one K-deep complex matrix product.  Samples sit at the exact grid times
+t0 + dt*i, not at the rounded floats of TimeGrid.times.  Blocks are anchored
+on the global index i, so any global index range of a grid evaluates to
+bitwise the same samples as the full run.
 """
 
 from __future__ import annotations
@@ -107,7 +121,7 @@ class Signal:
 def _inverse_periods(nstar: float):
     """Double-double reciprocals of (T_cl, t_rev, t_sr) for a given n*."""
     ns = (nstar, 0.0)
-    n2 = dd.dd_from_prod(nstar, nstar)
+    n2 = dd.two_prod(nstar, nstar)
     n3 = dd.dd_mul(n2, ns)
     t_cl = dd.dd_mul(dd.TWO_PI_DD, n3)
     t_rev = dd.dd_div(dd.dd_mul_f(dd.dd_mul(t_cl, ns), 2.0), (3.0, 0.0))
@@ -120,51 +134,49 @@ def _inverse_periods(nstar: float):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_cycle_rate(nstar: float, k: int):
-    """(E_{n*+k} - E_{n*}) / (2*pi) as a double-double, cycles per a.u."""
-    if nstar + k <= 0.0:
-        raise ValueError(f"no bound state at effective quantum number {nstar + k}")
+def _exact_cycle_rates(nstar: float, k: np.ndarray):
+    """(E_{n*+k} - E_{n*}) / (2*pi) as double-doubles, cycles per a.u."""
+    if np.any(nstar + k <= 0.0):
+        bad = float(np.min(nstar + k))
+        raise ValueError(f"no bound state at effective quantum number {bad}")
     one = (1.0, 0.0)
-    a = dd.dd_from_prod(nstar, nstar)
-    nk = dd.two_sum(nstar, float(k))
+    a = dd.two_prod(nstar, nstar)
+    nk = dd.two_sum(nstar, k)
     b = dd.dd_mul(nk, nk)
     delta = dd.dd_mul_f(dd.dd_add(dd.dd_div(one, a), dd.dd_neg(dd.dd_div(one, b))), 0.5)
     return dd.dd_div(delta, dd.TWO_PI_DD)
 
 
-def _ratio_frac(t, inv):
-    """frac(t / T) for an array t and a double-double 1/T, in [0, 1)."""
-    p, e = dd.two_prod(t, inv[0])
-    e = e + t * inv[1]
-    return dd.dd_frac((p, e))
-
-
-def _frac(x):
-    return x - np.floor(x)
-
-
-def phase_cycles(model: PhaseModel, k: int, t, spec: AtomSpec):
-    """Phase theta_k(t) / (2*pi) reduced into [0, 1); t may be an array.
-
-    The constant E_{nbar} reference phase is dropped (it cancels in |A|^2);
-    reducing the large-magnitude terms before combining them keeps the
-    absolute error at the 1e-12-cycle level out to t ~ t_sr.
-    """
-    t = np.asarray(t, dtype=float)
+def _cycle_rates(model: PhaseModel, nstar: float, offsets):
+    """The rate table: nu_k = theta_k(t) / (2*pi*t) as a double-double pair
+    of arrays (hi, lo) aligned with offsets (an int or an array)."""
+    k = np.asarray(offsets, dtype=float)
     order = model.taylor_order
     if order is None:
-        rate = _exact_cycle_rate(spec.nstar, int(k))
-        p, e = dd.two_prod(t, rate[0])
-        e = e + t * rate[1]
-        return dd.dd_frac((p, e))
-    inv1, inv2, inv3 = _inverse_periods(spec.nstar)
-    cycles = k * _ratio_frac(t, inv1)
+        return _exact_cycle_rates(nstar, k)
+    inv1, inv2, inv3 = _inverse_periods(nstar)
+    rate = dd.dd_mul_f(inv1, k)
     if order >= 2:
-        cycles = cycles - k * k * _ratio_frac(t, inv2)
+        rate = dd.dd_add(rate, dd.dd_mul_f(inv2, -k * k))
     if order >= 3:
-        cycles = cycles + k * k * k * _ratio_frac(t, inv3)
-    return _frac(cycles)
+        rate = dd.dd_add(rate, dd.dd_mul_f(inv3, k * k * k))
+    return rate
+
+
+def _cycles_at(rate, t):
+    """frac(nu * t) in [0, 1) for a double-double rate and float times t."""
+    p, e = dd.two_prod(t, rate[0])
+    return dd.dd_frac((p, e + t * rate[1]))
+
+
+def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
+    """Phase theta_k(t) / (2*pi) reduced into [0, 1).
+
+    k (offsets) and t (times) may be scalars or arrays; they broadcast.
+    The constant E_{nbar} reference phase is dropped (it cancels in |A|^2).
+    """
+    rate = _cycle_rates(model, spec.nstar, k)
+    return _cycles_at(rate, np.asarray(t, dtype=float))
 
 
 def phase(model: PhaseModel, k: int, t: float, spec: AtomSpec) -> float:
@@ -175,22 +187,69 @@ def phase(model: PhaseModel, k: int, t: float, spec: AtomSpec) -> float:
 def _a2_over_times(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, times: np.ndarray
 ) -> np.ndarray:
-    """|A|^2 evaluated sample-by-sample; independent per time point."""
+    """|A|^2 at arbitrary times, one term at a time; independent per time
+    point.  The reference the grid kernel is tested against."""
+    hi, lo = _cycle_rates(model, spec.nstar, coeffs.offsets)
     amp = np.zeros(times.shape, dtype=np.complex128)
-    for k, p in zip(coeffs.offsets, coeffs.probabilities):
-        cycles = phase_cycles(model, int(k), times, spec)
-        amp += p * np.exp(-2j * np.pi * cycles)
+    for p, rate in zip(coeffs.probabilities, zip(hi, lo)):
+        amp += p * np.exp(-2j * np.pi * _cycles_at(rate, times))
     return np.abs(amp) ** 2
+
+
+# Rows of U per matrix product.  Products always have this many rows and
+# start at a multiple of it, so a sample's arithmetic never depends on the
+# index range it was requested with (BLAS picks its kernel by shape).
+_GEMM_ROWS = 32
+
+
+def _a2_over_range(
+    coeffs: CoefficientSet,
+    model: PhaseModel,
+    spec: AtomSpec,
+    grid: TimeGrid,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop).
+
+    Blocks are anchored on the global index, so any partition of
+    [0, grid.count) reproduces the full run bitwise.
+    """
+    if not 0 <= start < stop <= grid.count:
+        raise ValueError(f"index range [{start}, {stop}) not inside [0, {grid.count})")
+    rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
+    block = math.isqrt(grid.count)
+    per_sample = dd.dd_mul_f(rate, grid.dt)
+    # Rows of U: the blocks touching [start, stop), widened to whole groups.
+    j0 = start // block // _GEMM_ROWS * _GEMM_ROWS
+    j1 = -(-((stop - 1) // block + 1) // _GEMM_ROWS) * _GEMM_ROWS
+    j = np.arange(j0, j1, dtype=float)[:, None]
+    row_cycles = dd.dd_frac(dd.dd_add(
+        dd.dd_mul_f(rate, grid.t0), dd.dd_mul_f(dd.dd_mul_f(per_sample, float(block)), j)
+    ))
+    u = coeffs.probabilities * np.exp(-2j * np.pi * row_cycles)
+    m = np.arange(block, dtype=float)
+    col_rate = (per_sample[0][:, None], per_sample[1][:, None])
+    v = np.exp(-2j * np.pi * dd.dd_frac(dd.dd_mul_f(col_rate, m)))
+    out = np.empty(stop - start)
+    for r in range(0, j1 - j0, _GEMM_ROWS):
+        first = (j0 + r) * block
+        lo, hi = max(start, first), min(stop, first + _GEMM_ROWS * block)
+        amp = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)[lo - first : hi - first]
+        out[lo - start : hi - start] = amp.real**2 + amp.imag**2
+    return out
 
 
 def autocorrelation(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, grid: TimeGrid
 ) -> Signal:
-    """Evaluate |A(t)|^2 on a uniform grid.
+    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i.
 
-    Cost is linear in grid.count times the window size; samples are
-    independent, so any partition of the grid by index yields bitwise
-    identical results.
+    Cost for N = grid.count samples and K terms: K*(N/B + B) complex
+    exponentials with B = isqrt(N), plus one K-deep complex matrix product.
+    Blocks are anchored on the global sample index, so evaluating any
+    partition of [0, N) into index ranges with _a2_over_range yields bitwise
+    the same samples.
     """
-    values = _a2_over_times(coeffs, model, spec, grid.times)
+    values = _a2_over_range(coeffs, model, spec, grid, 0, grid.count)
     return Signal(t0=grid.t0, dt=grid.dt, values=values)

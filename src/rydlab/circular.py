@@ -118,11 +118,9 @@ def angular_slice(
     phis = grid.phis
     logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
     scaled = np.exp(logs - logs.max())
+    thetas = 2.0 * np.pi * phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
     values = np.zeros(phis.shape, dtype=np.complex128)
-    for k, c, w in zip(coeffs.offsets, coeffs.weights, scaled):
-        theta = 2.0 * np.pi * phase_cycles(
-            PhaseModel.EXACT, int(k), np.float64(t), spec
-        )
+    for k, c, w, theta in zip(coeffs.offsets, coeffs.weights, scaled, thetas):
         m = spec.nbar + float(k) - 1.0
         values += (c * w) * np.exp(1j * (m * phis - float(theta)))
     return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=values, t=t, r=r)

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .analysis import verify
+from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, verify
 from .autocorr import PhaseModel, Signal, TimeGrid, autocorrelation
 from .circular import AngularGrid, angular_slice
 from .packet import gaussian_packet
@@ -26,6 +26,11 @@ DEFAULT_VERIFY_Q = (12, 6)
 # Grid density: 20 samples per classical period resolves the fastest
 # oscillation present for the |k| range of any sane packet.
 SAMPLES_PER_CLASSICAL_PERIOD = 20
+
+# Largest |A|^2 grid a command evaluates.  The samples themselves are cheap,
+# but formatting 10^7 rows already takes a few GB; larger grids are usage
+# errors rather than a MemoryError halfway through.
+MAX_SAMPLES = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -83,8 +88,8 @@ def cmd_predict(parser, args) -> int:
 
 def cmd_autocorr(parser, args) -> int:
     spec = _atom_spec(parser, args)
-    if args.samples < 1:
-        parser.error(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
     if args.tmax < args.tmin:
         parser.error(f"--tmax ({args.tmax}) must be >= --tmin ({args.tmin})")
     if args.samples > 1 and args.tmax == args.tmin:
@@ -153,6 +158,11 @@ def cmd_verify(parser, args) -> int:
     t_end = max(p.time_center for p in preds) + scales.t_rev
     dt = scales.t_cl / SAMPLES_PER_CLASSICAL_PERIOD
     count = int(math.ceil(t_end / dt)) + 2
+    if count > MAX_SAMPLES:
+        parser.error(
+            f"verify would need {count} samples to reach t_sr/{min(qs)}, more than "
+            f"the {MAX_SAMPLES} sample budget; use larger --q or smaller --nbar"
+        )
     coeffs = gaussian_packet(spec)
     signal = autocorrelation(coeffs, PhaseModel(args.model), spec,
                              TimeGrid(t0=0.0, dt=dt, count=count))
@@ -223,10 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"default {' '.join(map(str, DEFAULT_VERIFY_Q))}")
     p.add_argument("--model", choices=[m.value for m in PhaseModel],
                    default="exact")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="relative periodicity tolerance (default 0.10)")
-    p.add_argument("--threshold", type=float, default=0.3,
-                   help="peak threshold as fraction of window max (default 0.3)")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                   help="relative periodicity tolerance "
+                        f"(default {DEFAULT_TOLERANCE:.2f})")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="peak threshold as fraction of window max "
+                        f"(default {DEFAULT_THRESHOLD:g})")
     p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_verify)
 

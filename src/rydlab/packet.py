@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -12,10 +11,6 @@ from .spectrum import AtomSpec, to_si
 
 # Default truncation: the Gaussian tail beyond 5 sigma is < 4e-6 of the peak.
 DEFAULT_WINDOW_SIGMAS = 5.0
-
-# Any callable with this shape can stand in for gaussian_packet downstream,
-# e.g. asymmetric (squeezed-state-like) distributions.
-DistributionBuilder = Callable[[AtomSpec], "CoefficientSet"]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .autocorr import _inverse_periods, _ratio_frac
+from .autocorr import PhaseModel, phase_cycles
 from .packet import CoefficientSet
 from .spectrum import AtomSpec, timescales_from_nstar, to_si
 
@@ -202,21 +202,14 @@ def reconstruct(
     if abs(t - prediction.time_center) > scales.t_rev * (1.0 + 1e-9):
         raise ValueError("t outside the expansion's validity window "
                          "(|t - t_sr/q| <= t_rev)")
-    inv1, inv2, inv3 = _inverse_periods(spec.nstar)
     l, alpha, b = prediction.l, prediction.alpha, prediction.b
-    t_arr = np.float64(t)
-    f1 = float(_ratio_frac(t_arr, inv1))
-    f2 = float(_ratio_frac(t_arr, inv2))
-    f3 = float(_ratio_frac(t_arr, inv3))
-    residual_sq = 0.0
-    for k, p in zip(coeffs.offsets, coeffs.probabilities):
-        k = int(k)
-        lin = np.exp(-2j * np.pi * ((k * f1) % 1.0))
-        rest = (-k * k * f2 + k**3 * f3) % 1.0
-        order3_factor = lin * np.exp(-2j * np.pi * rest)
-        shifts = np.exp(-2j * np.pi * np.array(
-            [((k * s * alpha) % l) / l for s in range(l)]
-        ))
-        superposition = lin * np.dot(b, shifts)
-        residual_sq += p * abs(order3_factor - superposition) ** 2
-    return math.sqrt(residual_sq)
+    k = coeffs.offsets
+    lin = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER1, k, t, spec))
+    order3_factor = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER3, k, t, spec))
+    # (k * s * alpha) mod l, reduced before multiplying so int64 cannot wrap
+    shift_steps = (np.outer(k, np.arange(l)) % l) * (alpha % l) % l
+    shifts = np.exp(-2j * np.pi * shift_steps / l)
+    superposition = lin * (shifts @ b)
+    return math.sqrt(float(np.sum(
+        coeffs.probabilities * np.abs(order3_factor - superposition) ** 2
+    )))

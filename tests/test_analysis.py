@@ -173,7 +173,8 @@ def test_verification_entry_json(spec48, signal48):
     entries = verify(prediction_table(spec48, (6,)), signal48)
     record = entries[0].to_dict()
     assert set(record) == {
-        "q", "predicted_si", "measured_si", "deviation", "peak_height", "status",
+        "q", "predicted_si", "measured_si", "deviation", "peak_height", "n_peaks",
+        "status",
     }
     assert record["status"] == "pass"
     assert record["predicted_si"] == pytest.approx(0.269e-9, rel=0.01)

@@ -21,7 +21,7 @@ from rydlab import (
     phase,
     timescales,
 )
-from rydlab.autocorr import _a2_over_times, phase_cycles
+from rydlab.autocorr import _a2_over_range, _a2_over_times, phase_cycles
 
 from conftest import circular_distance
 
@@ -37,24 +37,38 @@ def naive_autocorrelation(coeffs, spec, times):
     return np.abs(amp) ** 2
 
 
-def mp_phase_cycles(model, k, t, nstar):
-    """Independent oracle: 60-digit evaluation of the phase in cycles."""
-    mp.mp.dps = 60
+def mp_cycle_rate(model, k, nstar):
+    """Independent oracle: theta_k(t) / (2 pi t) at the working precision."""
     ns = mp.mpf(nstar)
-    t = mp.mpf(t)
     if model is PhaseModel.EXACT:
-        delta = mp.mpf("0.5") * (1 / ns**2 - 1 / (ns + k) ** 2)
-        return float(mp.fmod(delta * t / (2 * mp.pi), 1) % 1)
+        return mp.mpf("0.5") * (1 / ns**2 - 1 / (ns + k) ** 2) / (2 * mp.pi)
     t_cl = 2 * mp.pi * ns**3
     t_rev = t_cl * 2 * ns / 3
     t_sr = t_rev * ns * 3 / 4
     order = model.taylor_order
-    total = k * t / t_cl
+    total = k / t_cl
     if order >= 2:
-        total -= k * k * t / t_rev
+        total -= k * k / t_rev
     if order >= 3:
-        total += k**3 * t / t_sr
-    return float(mp.fmod(total, 1) % 1)
+        total += k**3 / t_sr
+    return total
+
+
+def mp_phase_cycles(model, k, t, nstar):
+    """Independent oracle: 60-digit evaluation of the phase in cycles."""
+    mp.mp.dps = 60
+    return float(mp.fmod(mp_cycle_rate(model, k, nstar) * mp.mpf(t), 1) % 1)
+
+
+def mp_a2(coeffs, model, nstar, t0, dt, i):
+    """Independent oracle: 40-digit |A|^2 at the exact grid time t0 + dt*i."""
+    with mp.workdps(40):
+        t = mp.mpf(t0) + mp.mpf(dt) * i
+        amp = mp.fsum(
+            mp.mpf(float(p)) * mp.expj(-2 * mp.pi * mp_cycle_rate(model, int(k), nstar) * t)
+            for k, p in zip(coeffs.offsets, coeffs.probabilities)
+        )
+        return float(abs(amp) ** 2)
 
 
 def test_unity_at_t_zero(spec320):
@@ -238,6 +252,66 @@ def test_partition_determinism(spec48):
     assert np.array_equal(np.concatenate(parts), full)
     again = _a2_over_times(coeffs, PhaseModel.EXACT, spec48, grid.times)
     assert np.array_equal(again, full)
+
+
+@pytest.fixture(scope="module")
+def late_grid_640():
+    """n=640, sigma=5 (51 terms) over t_sr/12 +- t_rev: phases of ~1e7 cycles."""
+    spec = AtomSpec(640, 5.0)
+    ts = timescales(spec)
+    grid = TimeGrid(ts.t_sr / 12.0 - ts.t_rev, ts.t_cl / 20.0, 17_101)
+    return spec, gaussian_packet(spec), grid
+
+
+@pytest.mark.parametrize("model", list(PhaseModel))
+def test_grid_kernel_matches_mp_oracle_at_exact_grid_times(model, late_grid_640):
+    spec, coeffs, grid = late_grid_640
+    assert coeffs.offsets.size == 51
+    values = autocorrelation(coeffs, model, spec, grid).values
+    rng = np.random.default_rng(11)
+    picks = {0, 1, grid.count - 1, *rng.integers(0, grid.count, 9).tolist()}
+    worst = max(
+        abs(values[i] - mp_a2(coeffs, model, spec.nstar, grid.t0, grid.dt, i))
+        for i in picks
+    )
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("model", list(PhaseModel))
+def test_index_ranges_reproduce_full_grid_bitwise(model, late_grid_640):
+    """Uneven cuts, including single samples and cuts inside one block."""
+    spec, coeffs, grid = late_grid_640
+    full = autocorrelation(coeffs, model, spec, grid).values
+    cuts = [0, 1, 2, 130, 131, 4099, 4500, 12_000, grid.count - 1, grid.count]
+    parts = [
+        _a2_over_range(coeffs, model, spec, grid, lo, hi)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    assert np.array_equal(np.concatenate(parts), full)
+    with pytest.raises(ValueError):
+        _a2_over_range(coeffs, model, spec, grid, 5, 5)
+    with pytest.raises(ValueError):
+        _a2_over_range(coeffs, model, spec, grid, 0, grid.count + 1)
+
+
+@pytest.mark.parametrize("model", list(PhaseModel))
+def test_grid_kernel_close_to_rounded_time_reference(model, late_grid_640):
+    """Sampling t0 + dt*i exactly instead of the rounded float times moves
+    |A|^2 by far less than 1e-10 (the times differ by ~1e-3 a.u.)."""
+    spec, coeffs, grid = late_grid_640
+    values = autocorrelation(coeffs, model, spec, grid).values
+    reference = _a2_over_times(coeffs, model, spec, grid.times)
+    assert float(np.max(np.abs(values - reference))) < 1e-10
+
+
+def test_phase_cycles_vectorised_over_offsets(spec320):
+    """One call over all offsets equals one call per offset, bitwise."""
+    t = 0.37 * timescales(spec320).t_sr
+    ks = np.arange(-13, 14)
+    for model in PhaseModel:
+        together = phase_cycles(model, ks, t, spec320)
+        one_by_one = [float(phase_cycles(model, int(k), t, spec320)) for k in ks]
+        assert np.array_equal(together, np.array(one_by_one))
 
 
 def test_million_sample_run_is_interactive():

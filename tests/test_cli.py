@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rydlab.cli import main
+from rydlab.cli import MAX_SAMPLES, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -240,3 +240,17 @@ def test_missing_required_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--sigma", "1.5"])
     assert exc.value.code == 2
+
+
+def test_oversized_grids_are_usage_errors(capsys):
+    """Grids past the sample budget exit 2 before anything is allocated."""
+    with pytest.raises(SystemExit) as exc:
+        main(["autocorr", "--nbar", "48", "--sigma", "1.5", "--tmin", "0",
+              "--tmax", "1e-6", "--samples", "1000000000000"])
+    assert exc.value.code == 2
+    assert str(MAX_SAMPLES) in capsys.readouterr().err
+    # t_sr/3 at nbar = 2000 is n^2/6 Kepler periods: 1.3e7 samples
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nbar", "2000", "--sigma", "5", "--q", "3"])
+    assert exc.value.code == 2
+    assert str(MAX_SAMPLES) in capsys.readouterr().err
