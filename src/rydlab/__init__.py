@@ -15,7 +15,7 @@ from .analysis import (
     find_peaks,
     verify,
 )
-from .autocorr import PhaseModel, Signal, TimeGrid, autocorrelation, phase
+from .autocorr import PhaseModel, Signal, TimeGrid, autocorrelation
 from .circular import (
     AngularGrid,
     AngularSlice,
@@ -72,7 +72,6 @@ __all__ = [
     "gaussian_packet",
     "integer_constants",
     "log_amplitude",
-    "phase",
     "prediction_table",
     "pulse_duration",
     "reconstruct",

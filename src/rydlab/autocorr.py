@@ -79,6 +79,16 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.count)
 
 
+def _check_a2(values: np.ndarray) -> np.ndarray:
+    """values (a nonempty float array), once every |A|^2 sample in it is
+    checked to be finite and inside [0, 1]; ValueError otherwise."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("autocorrelation samples must be finite")
+    if float(values.min()) < 0.0 or float(values.max()) > 1.0 + 1e-12:
+        raise ValueError("autocorrelation samples must lie in [0, 1]")
+    return values
+
+
 @dataclass(frozen=True)
 class Signal:
     """Uniformly sampled |A(t)|^2 series."""
@@ -93,8 +103,7 @@ class Signal:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
-        if float(values.min()) < 0.0 or float(values.max()) > 1.0 + 1e-12:
-            raise ValueError("autocorrelation samples must lie in [0, 1]")
+        _check_a2(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -179,11 +188,6 @@ def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
     return _cycles_at(rate, np.asarray(t, dtype=float))
 
 
-def phase(model: PhaseModel, k: int, t: float, spec: AtomSpec) -> float:
-    """Phase theta_k(t) in radians, reduced modulo 2*pi into [0, 2*pi)."""
-    return float(2.0 * math.pi * phase_cycles(model, k, np.float64(t), spec))
-
-
 def _a2_over_times(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, times: np.ndarray
 ) -> np.ndarray:
@@ -202,18 +206,22 @@ def _a2_over_times(
 _GEMM_ROWS = 32
 
 
-def _a2_over_range(
+def _a2_chunks(
     coeffs: CoefficientSet,
     model: PhaseModel,
     spec: AtomSpec,
     grid: TimeGrid,
     start: int,
     stop: int,
-) -> np.ndarray:
-    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop).
+    size: int,
+):
+    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), yielded
+    as consecutive arrays of `size` samples (the last may be shorter).
 
-    Blocks are anchored on the global index, so any partition of
-    [0, grid.count) reproduces the full run bitwise.
+    The rate table, V and the rows of U are built once, and each product of
+    _GEMM_ROWS rows of U once, so memory is O(K*sqrt(count) + size) whatever
+    the range.  Blocks are anchored on the global index, so any partition of
+    [0, grid.count) and any chunk size reproduce the full run bitwise.
     """
     if not 0 <= start < stop <= grid.count:
         raise ValueError(f"index range [{start}, {stop}) not inside [0, {grid.count})")
@@ -231,13 +239,32 @@ def _a2_over_range(
     m = np.arange(block, dtype=float)
     col_rate = (per_sample[0][:, None], per_sample[1][:, None])
     v = np.exp(-2j * np.pi * dd.dd_frac(dd.dd_mul_f(col_rate, m)))
-    out = np.empty(stop - start)
-    for r in range(0, j1 - j0, _GEMM_ROWS):
-        first = (j0 + r) * block
-        lo, hi = max(start, first), min(stop, first + _GEMM_ROWS * block)
-        amp = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)[lo - first : hi - first]
-        out[lo - start : hi - start] = amp.real**2 + amp.imag**2
-    return out
+    span = _GEMM_ROWS * block  # samples per product
+    formed = -1  # first sample of the product held in a2
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        out = np.empty(hi - lo)
+        for first in range(lo // span * span, hi, span):
+            if first != formed:
+                r = first // block - j0
+                amp = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)
+                a2, formed = amp.real**2 + amp.imag**2, first
+            a, b = max(lo, first), min(hi, first + span)
+            out[a - lo : b - lo] = a2[a - first : b - first]
+        yield out
+
+
+def _a2_over_range(
+    coeffs: CoefficientSet,
+    model: PhaseModel,
+    spec: AtomSpec,
+    grid: TimeGrid,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), as
+    one array; bitwise the same for any partition of [0, grid.count)."""
+    return next(_a2_chunks(coeffs, model, spec, grid, start, stop, stop - start))
 
 
 def autocorrelation(

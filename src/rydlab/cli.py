@@ -1,19 +1,30 @@
 """Command-line interface: predict, autocorr, slice, verify.
 
 Times cross the CLI boundary in SI seconds; computation runs in atomic
-units and data files carry both.  Identical flags produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+units and data files carry both.  Every command writes through one
+streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
+of CHUNK_ROWS rows and `slice` formats and writes Psi(phi) the same way: one
+format call per chunk, each chunk written before the next is formed, so
+memory does not grow with the size of the text.  Identical flags produce
+byte-identical output, whatever the chunk size.
+Exit codes: 0 success (also when the reader closes stdout early), 1
+verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, verify
-from .autocorr import PhaseModel, Signal, TimeGrid, autocorrelation
+from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2, autocorrelation
 from .circular import AngularGrid, angular_slice
 from .packet import gaussian_packet
 from .spectrum import AtomSpec, from_si, timescales, to_si
@@ -27,23 +38,56 @@ DEFAULT_VERIFY_Q = (12, 6)
 # oscillation present for the |k| range of any sane packet.
 SAMPLES_PER_CLASSICAL_PERIOD = 20
 
-# Largest |A|^2 grid a command evaluates.  The samples themselves are cheap,
-# but formatting 10^7 rows already takes a few GB; larger grids are usage
-# errors rather than a MemoryError halfway through.
+# Largest |A|^2 grid a command evaluates.  `autocorr` streams its rows, but
+# `verify` holds the whole signal and its peak search; larger grids are
+# usage errors rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
 
-
-def _fmt(x: float) -> str:
-    """Decimal scientific notation, 12 significant digits."""
-    return format(x, ".11e")
+# Rows evaluated, formatted and written at a time.
+CHUNK_ROWS = 1 << 14
 
 
-def _write_text(out_path: str | None, text: str) -> None:
+def _chunks(count: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges of CHUNK_ROWS rows covering [0, count)."""
+    return [(lo, min(lo + CHUNK_ROWS, count)) for lo in range(0, count, CHUNK_ROWS)]
+
+
+def _csv(columns: dict):
+    """CSV text of float columns, each an iterable of equal-length chunks
+    (lists of floats): the header, then one %-format call per chunk."""
+    yield ",".join(columns) + "\n"
+    row = ",".join(["%.11e"] * len(columns)) + "\n"
+    for chunk in zip(*columns.values()):
+        yield (row * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
+
+
+def _json(scalars: dict, columns: dict):
+    """json.dumps({**scalars, **columns}, indent=2) + "\n" in pieces, each
+    column an iterable of chunks (lists of finite floats) streamed in turn."""
+    sep = "{\n"
+    for key, value in scalars.items():
+        yield f"{sep}  {json.dumps(key)}: {json.dumps(value)}"
+        sep = ",\n"
+    for key, chunks in columns.items():
+        yield f"{sep}  {json.dumps(key)}: ["
+        sep = "\n    "
+        for chunk in chunks:
+            yield sep + ",\n    ".join(map(float.__repr__, chunk))
+            sep = ",\n    "
+        yield "\n  ]"
+        sep = ",\n"
+    yield "\n}\n"
+
+
+def _write(out_path: str | None, pieces) -> None:
+    """Write each text piece to out_path (stdout when None or "-") before
+    the next one is formed."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        target = open(out_path, "w", encoding="utf-8", newline="")
+    with target as fh:
+        fh.writelines(pieces)
 
 
 def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
@@ -51,22 +95,6 @@ def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
         return AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _signal_csv(signal: Signal) -> str:
-    lines = ["t_au,t_si,a2"]
-    for t, v in zip(signal.times, signal.values):
-        lines.append(f"{_fmt(t)},{_fmt(to_si(t))},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def _signal_json(signal: Signal) -> str:
-    record = {
-        "t_au": [float(t) for t in signal.times],
-        "t_si": [to_si(float(t)) for t in signal.times],
-        "a2": [float(v) for v in signal.values],
-    }
-    return json.dumps(record, indent=2) + "\n"
 
 
 def cmd_predict(parser, args) -> int:
@@ -82,7 +110,7 @@ def cmd_predict(parser, args) -> int:
         "defect": args.defect,
         "predictions": [p.to_dict() for p in preds],
     }
-    _write_text(args.out, json.dumps(record, indent=2) + "\n")
+    _write(args.out, [json.dumps(record, indent=2) + "\n"])
     return 0
 
 
@@ -104,11 +132,14 @@ def cmd_autocorr(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     coeffs = gaussian_packet(spec)
-    signal = autocorrelation(coeffs, PhaseModel(args.model), spec, grid)
-    if args.format == "csv":
-        _write_text(args.out, _signal_csv(signal))
-    else:
-        _write_text(args.out, _signal_json(signal))
+    a2 = _a2_chunks(coeffs, PhaseModel(args.model), spec, grid, 0, grid.count, CHUNK_ROWS)
+    parts = _chunks(grid.count)
+    columns = {
+        "t_au": ((grid.t0 + grid.dt * np.arange(lo, hi)).tolist() for lo, hi in parts),
+        "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)).tolist() for lo, hi in parts),
+        "a2": (_check_a2(values).tolist() for values in a2),
+    }
+    _write(args.out, _csv(columns) if args.format == "csv" else _json({}, columns))
     return 0
 
 
@@ -123,23 +154,17 @@ def cmd_slice(parser, args) -> int:
         result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.format == "csv":
-        lines = ["phi,re,im,abs"]
-        for phi, val in zip(result.phis, result.values):
-            lines.append(
-                f"{_fmt(phi)},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(abs(val))}"
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
-    else:
-        record = {
-            "t_si": args.t,
-            "r_au": result.r,
-            "phi": [float(p) for p in result.phis],
-            "re": [float(v.real) for v in result.values],
-            "im": [float(v.imag) for v in result.values],
-            "abs": [float(abs(v)) for v in result.values],
-        }
-        _write_text(args.out, json.dumps(record, indent=2) + "\n")
+    phis, values = result.phis, result.values
+    parts = _chunks(values.size)
+    # abs() per element: numpy's vectorised abs differs in the last bit
+    columns = {
+        "phi": (phis[lo:hi].tolist() for lo, hi in parts),
+        "re": (values.real[lo:hi].tolist() for lo, hi in parts),
+        "im": (values.imag[lo:hi].tolist() for lo, hi in parts),
+        "abs": ([abs(v) for v in values[lo:hi].tolist()] for lo, hi in parts),
+    }
+    scalars = {"t_si": args.t, "r_au": result.r}
+    _write(args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))
     return 0
 
 
@@ -177,7 +202,7 @@ def cmd_verify(parser, args) -> int:
         "result": "pass" if all_pass else "fail",
         "entries": [e.to_dict() for e in entries],
     }
-    _write_text(args.out, json.dumps(record, indent=2) + "\n")
+    _write(args.out, [json.dumps(record, indent=2) + "\n"])
     return 0 if all_pass else 1
 
 
@@ -248,7 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        code = args.func(parser, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`rydlab autocorr ... | head`).  Point
+        # stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -18,10 +18,9 @@ from rydlab import (
     autocorrelation,
     from_si,
     gaussian_packet,
-    phase,
     timescales,
 )
-from rydlab.autocorr import _a2_over_range, _a2_over_times, phase_cycles
+from rydlab.autocorr import _a2_chunks, _a2_over_range, _a2_over_times, phase_cycles
 
 from conftest import circular_distance
 
@@ -129,7 +128,7 @@ def test_invariant_under_coefficient_phases(spec48):
 
 def test_phase_order1_closes_after_classical_period(spec320):
     ts = timescales(spec320)
-    got = phase(PhaseModel.ORDER1, 1, ts.t_cl, spec320)
+    got = 2.0 * math.pi * float(phase_cycles(PhaseModel.ORDER1, 1, ts.t_cl, spec320))
     assert circular_distance(got, 0.0) < 1e-9
 
 
@@ -146,7 +145,7 @@ def test_order1_model_is_simple_harmonic(spec320):
 def test_phase_order2_closes_after_revival(spec48):
     """At nbar=48 both terms are integer turns at t_rev (2 nbar/3 = 32)."""
     ts = timescales(spec48)
-    got = phase(PhaseModel.ORDER2, 1, ts.t_rev, spec48)
+    got = 2.0 * math.pi * float(phase_cycles(PhaseModel.ORDER2, 1, ts.t_rev, spec48))
     assert circular_distance(got, 0.0) < 1e-9
 
 
@@ -164,7 +163,7 @@ def test_phase_order3_rational_example(spec320):
     ) % 1
     assert expected == 0  # the three fractional parts conspire to a full turn
     ts = timescales(spec320)
-    got = phase(PhaseModel.ORDER3, k, ts.t_sr / 6.0, spec320)
+    got = 2.0 * math.pi * float(phase_cycles(PhaseModel.ORDER3, k, ts.t_sr / 6.0, spec320))
     assert circular_distance(got, 2.0 * math.pi * float(expected)) < 1e-8
 
 
@@ -294,6 +293,27 @@ def test_index_ranges_reproduce_full_grid_bitwise(model, late_grid_640):
         _a2_over_range(coeffs, model, spec, grid, 5, 5)
     with pytest.raises(ValueError):
         _a2_over_range(coeffs, model, spec, grid, 0, grid.count + 1)
+
+
+@pytest.mark.parametrize("size", [1, 7, 4159, 4160, 4161, 17_101])
+def test_chunk_sizes_reproduce_full_grid_bitwise(size, late_grid_640):
+    """Chunks of any size, inside one 32-block matrix product (4160 samples
+    here) or straddling two, concatenate to the full run bitwise."""
+    spec, coeffs, grid = late_grid_640
+    model = PhaseModel.ORDER3
+    full = autocorrelation(coeffs, model, spec, grid).values
+    chunks = list(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, size))
+    assert all(c.size == size for c in chunks[:-1]) and 0 < chunks[-1].size <= size
+    assert np.array_equal(np.concatenate(chunks), full)
+    sub = _a2_chunks(coeffs, model, spec, grid, 131, 12_000, size)
+    assert np.array_equal(np.concatenate(list(sub)), full[131:12_000])
+
+
+def test_signal_rejects_non_finite_samples():
+    """NaN passes both range comparisons, so it needs its own check."""
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Signal(0.0, 1.0, [0.5, bad, 0.2])
 
 
 @pytest.mark.parametrize("model", list(PhaseModel))

@@ -1,12 +1,31 @@
 """End-to-end exercises of the command-line interface."""
 
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydlab.cli import MAX_SAMPLES, main
+import rydlab
+from rydlab import cli
+from rydlab import (
+    AngularGrid,
+    AtomSpec,
+    PhaseModel,
+    Signal,
+    TimeGrid,
+    angular_slice,
+    autocorrelation,
+    from_si,
+    gaussian_packet,
+    to_si,
+)
+from rydlab.cli import MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -254,3 +273,158 @@ def test_oversized_grids_are_usage_errors(capsys):
         main(["verify", "--nbar", "2000", "--sigma", "5", "--q", "3"])
     assert exc.value.code == 2
     assert str(MAX_SAMPLES) in capsys.readouterr().err
+
+
+# The writers before output was streamed, kept verbatim as the oracle that
+# the streamed output is byte-compared against.
+
+
+def _fmt(x: float) -> str:
+    """Decimal scientific notation, 12 significant digits."""
+    return format(x, ".11e")
+
+
+def _signal_csv(signal: Signal) -> str:
+    lines = ["t_au,t_si,a2"]
+    for t, v in zip(signal.times, signal.values):
+        lines.append(f"{_fmt(t)},{_fmt(to_si(t))},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def _signal_json(signal: Signal) -> str:
+    record = {
+        "t_au": [float(t) for t in signal.times],
+        "t_si": [to_si(float(t)) for t in signal.times],
+        "a2": [float(v) for v in signal.values],
+    }
+    return json.dumps(record, indent=2) + "\n"
+
+
+def _slice_text(args, result) -> str:
+    if args.format == "csv":
+        lines = ["phi,re,im,abs"]
+        for phi, val in zip(result.phis, result.values):
+            lines.append(
+                f"{_fmt(phi)},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(abs(val))}"
+            )
+        return "\n".join(lines) + "\n"
+    else:
+        record = {
+            "t_si": args.t,
+            "r_au": result.r,
+            "phi": [float(p) for p in result.phis],
+            "re": [float(v.real) for v in result.values],
+            "im": [float(v.imag) for v in result.values],
+            "abs": [float(abs(v)) for v in result.values],
+        }
+        return json.dumps(record, indent=2) + "\n"
+
+
+def unstreamed_output(argv) -> bytes:
+    """What the command wrote before streaming: the whole signal or slice
+    evaluated at once, then formatted row by row."""
+    args = build_parser().parse_args(argv)
+    spec = AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
+    coeffs = gaussian_packet(spec)
+    if args.command == "slice":
+        grid = AngularGrid(-math.pi, 2.0 * math.pi / args.points, args.points)
+        result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
+        return _slice_text(args, result).encode()
+    t0 = from_si(args.tmin)
+    dt = 1.0 if args.samples == 1 else from_si(args.tmax - args.tmin) / (args.samples - 1)
+    grid = TimeGrid(t0=t0, dt=dt, count=args.samples)
+    signal = autocorrelation(coeffs, PhaseModel(args.model), spec, grid)
+    text = _signal_csv(signal) if args.format == "csv" else _signal_json(signal)
+    return text.encode()
+
+
+def command_output(capsys, tmp_path, dest, argv) -> bytes:
+    if dest == "stdout":
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    return path.read_bytes()
+
+
+CHUNK = 7  # CHUNK_ROWS while comparing, so that small grids span many chunks
+
+ATOM_48 = ["--nbar", "48", "--sigma", "1.5"]
+GOLDEN_CASES = {
+    "autocorr-single": ["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "0",
+                        "--samples", "1"],
+    **{
+        f"autocorr-{n}": ["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e-10",
+                          "--samples", str(n)]
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1)
+    },
+    # 3000 samples: blocks of 54, so chunks straddle the 32-block products
+    "autocorr-tmin": ["autocorr", *ATOM_48, "--tmin", "2.5e-9", "--tmax", "3.5e-9",
+                      "--samples", "3000"],
+    "autocorr-defect": ["autocorr", "--nbar", "48", "--sigma", "1.5", "--defect", "0.3",
+                        "--tmin", "1e-9", "--tmax", "2e-9", "--samples", "200"],
+    **{
+        f"autocorr-{m.value}": ["autocorr", "--nbar", "320", "--sigma", "2.5",
+                                "--tmin", "42e-6", "--tmax", "43e-6",
+                                "--samples", "500", "--model", m.value]
+        for m in PhaseModel
+    },
+    "slice-single": ["slice", *ATOM_48, "--t", "0", "--points", "1"],
+    **{
+        f"slice-{n}": ["slice", *ATOM_48, "--t", "1e-9", "--points", str(n)]
+        for n in (CHUNK - 1, CHUNK, CHUNK + 1)
+    },
+    "slice-320": ["slice", "--nbar", "320", "--sigma", "2.5", "--t", "42.48e-6",
+                  "--points", "2000"],
+    "slice-defect-radius": ["slice", "--nbar", "48", "--sigma", "1.5", "--defect", "0.3",
+                            "--t", "2e-9", "--points", "300", "--radius", "2000"],
+}
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", GOLDEN_CASES.values(), ids=GOLDEN_CASES.keys())
+def test_streamed_output_matches_unstreamed_writer(argv, fmt, dest, capsys, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", CHUNK)
+    argv = [*argv, "--format", fmt]
+    assert command_output(capsys, tmp_path, dest, argv) == unstreamed_output(argv)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_output_at_default_chunk_size(fmt, capsys, tmp_path):
+    """One row past a whole chunk, with the shipped CHUNK_ROWS."""
+    argv = ["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "4e-9",
+            "--samples", str(cli.CHUNK_ROWS + 1), "--format", fmt]
+    assert command_output(capsys, tmp_path, "stdout", argv) == unstreamed_output(argv)
+
+
+def test_autocorr_checks_every_chunk(monkeypatch, capsys):
+    """The [0, 1] and finiteness checks of Signal run on each streamed chunk."""
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+
+    def bad_second_chunk(*args):
+        yield np.array([0.5, 0.5])
+        yield np.array([0.5, math.nan])
+
+    monkeypatch.setattr(cli, "_a2_chunks", bad_second_chunk)
+    with pytest.raises(ValueError, match="finite"):
+        main(["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e-10", "--samples", "4"])
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """`rydlab autocorr ... | head -1`: exit 0 and nothing on stderr."""
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rydlab.cli", "autocorr", *ATOM_48, "--tmin", "0",
+         "--tmax", "4e-9", "--samples", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"t_au,t_si,a2\n"
+    proc.stdout.close()  # ~11 MB are still to come
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
