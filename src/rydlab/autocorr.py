@@ -254,19 +254,6 @@ def _a2_chunks(
         yield out
 
 
-def _a2_over_range(
-    coeffs: CoefficientSet,
-    model: PhaseModel,
-    spec: AtomSpec,
-    grid: TimeGrid,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), as
-    one array; bitwise the same for any partition of [0, grid.count)."""
-    return next(_a2_chunks(coeffs, model, spec, grid, start, stop, stop - start))
-
-
 def autocorrelation(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, grid: TimeGrid
 ) -> Signal:
@@ -275,8 +262,8 @@ def autocorrelation(
     Cost for N = grid.count samples and K terms: K*(N/B + B) complex
     exponentials with B = isqrt(N), plus one K-deep complex matrix product.
     Blocks are anchored on the global sample index, so evaluating any
-    partition of [0, N) into index ranges with _a2_over_range yields bitwise
+    partition of [0, N) into index ranges with _a2_chunks yields bitwise
     the same samples.
     """
-    values = _a2_over_range(coeffs, model, spec, grid, 0, grid.count)
+    values = next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
     return Signal(t0=grid.t0, dt=grid.dt, values=values)

@@ -38,9 +38,11 @@ DEFAULT_VERIFY_Q = (12, 6)
 # oscillation present for the |k| range of any sane packet.
 SAMPLES_PER_CLASSICAL_PERIOD = 20
 
-# Largest |A|^2 grid a command evaluates.  `autocorr` streams its rows, but
-# `verify` holds the whole signal and its peak search; larger grids are
-# usage errors rather than a MemoryError halfway through.
+# Largest size a command evaluates: |A|^2 samples, slice points, and the
+# weight count l of each prediction (l <= q, so --q is bounded too).
+# `autocorr` streams its rows, but `verify` holds the whole signal and its
+# peak search, `slice` the whole Psi(phi) and every prediction its b_s;
+# larger sizes are usage errors rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
 
 # Rows evaluated, formatted and written at a time.
@@ -97,13 +99,19 @@ def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
         parser.error(str(exc))
 
 
-def cmd_predict(parser, args) -> int:
-    spec = _atom_spec(parser, args)
+def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
     qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
+    if max(qs) > MAX_SAMPLES:
+        parser.error(f"--q must be <= {MAX_SAMPLES}, got {max(qs)}")
     try:
-        preds = prediction_table(spec, qs)
+        return prediction_table(spec, qs)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def cmd_predict(parser, args) -> int:
+    spec = _atom_spec(parser, args)
+    preds = _predictions(parser, args, spec)
     record = {
         "nbar": args.nbar,
         "sigma": args.sigma,
@@ -145,8 +153,8 @@ def cmd_autocorr(parser, args) -> int:
 
 def cmd_slice(parser, args) -> int:
     spec = _atom_spec(parser, args)
-    if args.points < 1:
-        parser.error(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_SAMPLES:
+        parser.error(f"--points must be in [1, {MAX_SAMPLES}], got {args.points}")
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
@@ -174,18 +182,14 @@ def cmd_verify(parser, args) -> int:
         parser.error(f"--threshold must be in (0, 1], got {args.threshold}")
     if args.tolerance <= 0.0:
         parser.error(f"--tolerance must be > 0, got {args.tolerance}")
-    qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
-    try:
-        preds = prediction_table(spec, qs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    preds = _predictions(parser, args, spec)
     scales = timescales(spec)
     t_end = max(p.time_center for p in preds) + scales.t_rev
     dt = scales.t_cl / SAMPLES_PER_CLASSICAL_PERIOD
     count = int(math.ceil(t_end / dt)) + 2
     if count > MAX_SAMPLES:
         parser.error(
-            f"verify would need {count} samples to reach t_sr/{min(qs)}, more than "
+            f"verify would need {count} samples to reach t_sr/{preds[-1].q}, more than "
             f"the {MAX_SAMPLES} sample budget; use larger --q or smaller --nbar"
         )
     coeffs = gaussian_packet(spec)

@@ -53,23 +53,6 @@ class CoefficientSet:
         """|c_k|^2 aligned with offsets."""
         return np.abs(self.weights) ** 2
 
-    def to_dict(self) -> dict:
-        """JSON-ready record (offsets plus [re, im] amplitude pairs)."""
-        return {
-            "nbar": self.nbar,
-            "offsets": [int(k) for k in self.offsets],
-            "weights": [[float(c.real), float(c.imag)] for c in self.weights],
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "CoefficientSet":
-        weights = np.array([complex(re, im) for re, im in record["weights"]])
-        return cls(
-            nbar=float(record["nbar"]),
-            offsets=np.array(record["offsets"], dtype=np.int64),
-            weights=weights,
-        )
-
 
 def gaussian_packet(
     spec: AtomSpec, window_sigmas: float | None = None

@@ -20,7 +20,7 @@ from rydlab import (
     gaussian_packet,
     timescales,
 )
-from rydlab.autocorr import _a2_chunks, _a2_over_range, _a2_over_times, phase_cycles
+from rydlab.autocorr import _a2_chunks, _a2_over_times, phase_cycles
 
 from conftest import circular_distance
 
@@ -285,14 +285,14 @@ def test_index_ranges_reproduce_full_grid_bitwise(model, late_grid_640):
     full = autocorrelation(coeffs, model, spec, grid).values
     cuts = [0, 1, 2, 130, 131, 4099, 4500, 12_000, grid.count - 1, grid.count]
     parts = [
-        _a2_over_range(coeffs, model, spec, grid, lo, hi)
+        next(_a2_chunks(coeffs, model, spec, grid, lo, hi, hi - lo))
         for lo, hi in zip(cuts, cuts[1:])
     ]
     assert np.array_equal(np.concatenate(parts), full)
     with pytest.raises(ValueError):
-        _a2_over_range(coeffs, model, spec, grid, 5, 5)
+        next(_a2_chunks(coeffs, model, spec, grid, 5, 5, 0))
     with pytest.raises(ValueError):
-        _a2_over_range(coeffs, model, spec, grid, 0, grid.count + 1)
+        next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count + 1, grid.count + 1))
 
 
 @pytest.mark.parametrize("size", [1, 7, 4159, 4160, 4161, 17_101])

@@ -275,6 +275,33 @@ def test_oversized_grids_are_usage_errors(capsys):
     assert str(MAX_SAMPLES) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
+    """A q past the budget (l <= q weights) exits 2 before b_s is computed."""
+    def unreachable(*args):
+        raise AssertionError("weights computed for an oversized q")
+
+    monkeypatch.setattr("rydlab.cli.prediction_table", unreachable)
+    big = 3 * (MAX_SAMPLES // 3 + 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nbar", "320", "--sigma", "2.5", "--q", "6", "--q", str(big)])
+    assert exc.value.code == 2
+    assert str(MAX_SAMPLES) in capsys.readouterr().err
+
+
+def test_oversized_slice_is_usage_error(monkeypatch, capsys):
+    """--points past the budget exits 2 before Psi(phi) is evaluated."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("slice evaluated for oversized --points")
+
+    monkeypatch.setattr("rydlab.cli.angular_slice", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "0",
+              "--points", str(MAX_SAMPLES + 1)])
+    assert exc.value.code == 2
+    assert str(MAX_SAMPLES) in capsys.readouterr().err
+
+
 # The writers before output was streamed, kept verbatim as the oracle that
 # the streamed output is byte-compared against.
 

@@ -86,14 +86,6 @@ def test_pulse_duration_inverse_in_sigma():
     assert pulse_duration(AtomSpec(320, 5.0)) * 2.0 == pulse_duration(AtomSpec(320, 2.5))
 
 
-def test_json_round_trip():
-    c = gaussian_packet(AtomSpec(48, 1.5))
-    rebuilt = CoefficientSet.from_dict(c.to_dict())
-    assert rebuilt.nbar == c.nbar
-    assert np.array_equal(rebuilt.offsets, c.offsets)
-    assert np.array_equal(rebuilt.weights, c.weights)
-
-
 def test_coefficient_set_validation():
     with pytest.raises(ValueError):
         CoefficientSet(nbar=48, offsets=np.array([-1, 1]), weights=np.array([0.6, 0.8]))

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydlab import (
     AtomSpec,
@@ -18,6 +20,7 @@ from rydlab import (
     to_si,
     weights,
 )
+from rydlab.superrevival import NONZERO_WEIGHT_EPS
 
 REFERENCE_Q = (36, 18, 12, 9, 6)
 
@@ -38,6 +41,33 @@ def mp_weights(nbar, q, l, alpha):
             acc += mp.e ** (2j * mp.pi * x)
         out.append(complex(acc / l))
     return np.array(out)
+
+
+def fraction_weights(nbar, q):
+    """Exact-rational oracle: the direct O(l^2) double sum, with every phase
+    reduced mod 1 as a Fraction before exponentiation."""
+    l, N, alpha = integer_constants(nbar, q)
+    b = np.zeros(l, dtype=np.complex128)
+    for s in range(l):
+        acc = 0.0 + 0.0j
+        for kp in range(l):
+            frac = (
+                Fraction(alpha * s * kp, l)
+                + Fraction(3 * nbar * kp * kp, 4 * q)
+                - Fraction(kp**3, q)
+            ) % 1
+            acc += np.exp(2j * np.pi * float(frac))
+        b[s] = acc / l
+    return b
+
+
+def assert_matches_fraction_oracle(nbar, q):
+    pred = weights(nbar, q)
+    oracle = fraction_weights(nbar, q)
+    assert float(np.max(np.abs(pred.b - oracle))) <= 1e-14, f"nbar={nbar} q={q}"
+    count = int(np.count_nonzero(np.abs(oracle) > NONZERO_WEIGHT_EPS))
+    assert np.count_nonzero(np.abs(pred.b) > NONZERO_WEIGHT_EPS) == count
+    assert pred.kind == ("full" if count == 1 else "fractional")
 
 
 def test_integer_constants_320_q6():
@@ -105,9 +135,41 @@ def test_fractional_superrevivals_multiple_weights():
         assert pred.kind == "fractional"
 
 
+@pytest.mark.parametrize("nbar", [48, 320, 640])
+def test_weights_match_fraction_oracle_every_q(nbar):
+    """The FFT matches the exact-rational loop for every q = 3..150."""
+    for q in range(3, 151, 3):
+        assert_matches_fraction_oracle(nbar, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nbar=st.integers(1, 2000), q=st.integers(1, 50).map(lambda j: 3 * j))
+def test_weights_match_fraction_oracle_property(nbar, q):
+    assert_matches_fraction_oracle(nbar, q)
+
+
+def test_weights_at_large_l():
+    """l = 299973, out of the exact loop's reach: five b_s against a
+    single-s sum of phases reduced mod 1 in Python integers, and Parseval."""
+    nbar, q = 640, 3 * 99991
+    pred = weights(nbar, q)
+    l, alpha = pred.l, pred.alpha
+    assert l == q
+    den = 4 * q * l
+    chirp = [(3 * nbar * k * k * l - 4 * l * k**3) % den for k in range(l)]
+    rng = np.random.default_rng(5)
+    for s in rng.integers(0, l, 5).tolist():
+        shift = 4 * q * alpha * s
+        nums = np.array([(c + shift * k) % den for k, c in enumerate(chirp)], dtype=float)
+        exact = np.exp(2j * np.pi * nums / den).sum() / l
+        assert abs(pred.b[s] - exact) < 1e-14, f"s={s}"
+    assert abs(float(np.sum(np.abs(pred.b) ** 2)) - 1.0) < 1e-12
+
+
 def test_weights_against_high_precision_oracle():
-    """Rational-reduction path matches direct 50-digit evaluation."""
-    for nbar, q in ((48, 12), (320, 36), (320, 9), (48, 6)):
+    """The integer-reduced FFT matches direct 50-digit evaluation, also where
+    the unreduced numerator 3*nbar*k'^2 would overflow int64."""
+    for nbar, q in ((48, 12), (320, 36), (320, 9), (48, 6), (10**15, 147)):
         pred = weights(nbar, q)
         oracle = mp_weights(nbar, q, pred.l, pred.alpha)
         assert float(np.max(np.abs(pred.b - oracle))) < 1e-12
