@@ -10,6 +10,7 @@ verify():                compare measured periodicities in the windows
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,18 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     """Local maxima above threshold * (window max), at least min_separation apart.
 
     threshold is a fraction of the maximum sample in the window (0 < threshold
-    <= 1), so detection is invariant under uniform rescaling of the signal.
-    When candidates crowd closer than min_separation the tallest wins.  Peak
-    times and heights are refined with a parabola through the three samples
+    <= 1), so detection is invariant under uniform rescaling of the signal; a
+    sample is above it when it is >= the level.  A local maximum is an
+    interior sample strictly above its left neighbour and >= its right one,
+    so the first sample of a plateau counts.  When candidates crowd closer
+    than min_separation the tallest wins (ties: the earliest).  Peak times
+    and heights are refined with a parabola through the three samples
     around each maximum.  An empty train is a valid result, not an error.
+
+    Cost: one O(C log C) sort of the C candidates, then a bisect per
+    candidate into the sorted kept indices.  The separation test is monotone
+    in the index distance, so only the nearest kept peak on each side can
+    reject a candidate.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -114,18 +123,19 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     # tallest-first greedy selection under the separation constraint
     order = candidates[np.lexsort((candidates, -v[candidates]))]
     kept: list[int] = []
-    for i in order:
-        if all(abs(i - j) * signal.dt >= min_separation for j in kept):
-            kept.append(int(i))
-    kept.sort()
-    times = np.empty(len(kept))
-    heights = np.empty(len(kept))
-    for out, i in enumerate(kept):
-        a, b, c = v[i - 1], v[i], v[i + 1]
-        curv = a - 2.0 * b + c
-        shift = 0.5 * (a - c) / curv if curv != 0.0 else 0.0
-        times[out] = signal.t0 + signal.dt * (i + shift)
-        heights[out] = b - 0.25 * (a - c) * shift
+    for i in order.tolist():
+        slot = bisect_left(kept, i)
+        if (slot == 0 or (i - kept[slot - 1]) * signal.dt >= min_separation) and (
+            slot == len(kept) or (kept[slot] - i) * signal.dt >= min_separation
+        ):
+            kept.insert(slot, i)
+    k = np.array(kept, dtype=np.intp)
+    a, b, c = v[k - 1], v[k], v[k + 1]
+    curv = a - 2.0 * b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(curv != 0.0, 0.5 * (a - c) / curv, 0.0)
+    times = signal.t0 + signal.dt * (k + shift)
+    heights = b - 0.25 * (a - c) * shift
     return PeakTrain(times=times, heights=heights, window=window)
 
 

@@ -3,9 +3,9 @@
 Times cross the CLI boundary in SI seconds; computation runs in atomic
 units and data files carry both.  Every command writes through one
 streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
-of CHUNK_ROWS rows and `slice` formats and writes Psi(phi) the same way: one
-format call per chunk, each chunk written before the next is formed, so
-memory does not grow with the size of the text.  Identical flags produce
+of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
+weight list b the same way: one format call per chunk, each chunk written
+before the next is formed, so memory does not grow with the size of the text.  Identical flags produce
 byte-identical output, whatever the chunk size.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure, 2 usage error.
@@ -19,6 +19,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -40,9 +42,10 @@ SAMPLES_PER_CLASSICAL_PERIOD = 20
 
 # Largest size a command evaluates: |A|^2 samples, slice points, and the
 # weight count l of each prediction (l <= q, so --q is bounded too).
-# `autocorr` streams its rows, but `verify` holds the whole signal and its
-# peak search, `slice` the whole Psi(phi) and every prediction its b_s;
-# larger sizes are usage errors rather than a MemoryError halfway through.
+# `autocorr` and `predict` stream their text, but `verify` holds the whole
+# signal and its peak search, `slice` the whole Psi(phi), and every
+# prediction its b_s array (16 bytes per weight, never their text); larger
+# sizes are usage errors rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
 
 # Rows evaluated, formatted and written at a time.
@@ -109,16 +112,36 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
         parser.error(str(exc))
 
 
+def _predict_json(head: dict, preds) -> Iterator[str]:
+    """json.dumps({**head, "predictions": [p.to_dict() for p in preds]},
+    indent=2) + "\n" in pieces, each prediction's b streamed as CHUNK_ROWS
+    [re, im] pairs per format call instead of held as nested lists."""
+    yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
+    yield '  "predictions": ['
+    pair = ",\n        [\n          %s,\n          %s\n        ]"
+    for n, p in enumerate(preds):
+        yield ",\n    {" if n else "\n    {"
+        # to_dict of a copy without weights: every other field, in order
+        for m, (key, value) in enumerate(replace(p, b=p.b[:0]).to_dict().items()):
+            yield f"{',' if m else ''}\n      {json.dumps(key)}: "
+            if key != "b":
+                yield json.dumps(value)
+                continue
+            yield "["
+            for lo, hi in _chunks(p.b.size):
+                pairs = zip(p.b.real[lo:hi].tolist(), p.b.imag[lo:hi].tolist())
+                text = (pair * (hi - lo)) % tuple(map(float.__repr__, chain.from_iterable(pairs)))
+                yield text if lo else text[1:]
+            yield "\n      ]"
+        yield "\n    }"
+    yield "\n  ]\n}\n"
+
+
 def cmd_predict(parser, args) -> int:
     spec = _atom_spec(parser, args)
     preds = _predictions(parser, args, spec)
-    record = {
-        "nbar": args.nbar,
-        "sigma": args.sigma,
-        "defect": args.defect,
-        "predictions": [p.to_dict() for p in preds],
-    }
-    _write(args.out, [json.dumps(record, indent=2) + "\n"])
+    head = {"nbar": args.nbar, "sigma": args.sigma, "defect": args.defect}
+    _write(args.out, _predict_json(head, preds))
     return 0
 
 

@@ -1,10 +1,15 @@
 """Peak detection, periodicity estimation, and prediction verification."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rydlab import (
     AtomSpec,
+    PeakTrain,
     Signal,
     estimate_periodicity,
     find_peaks,
@@ -178,3 +183,140 @@ def test_verification_entry_json(spec48, signal48):
     }
     assert record["status"] == "pass"
     assert record["predicted_si"] == pytest.approx(0.269e-9, rel=0.01)
+
+
+# The tallest-first selection as it was before the nearest-neighbour bisect:
+# every candidate checked against every kept peak.  Kept verbatim as the
+# oracle for find_peaks; O(candidates x kept).
+def reference_find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakTrain:
+    """Local maxima above threshold * (window max), at least min_separation apart.
+
+    threshold is a fraction of the maximum sample in the window (0 < threshold
+    <= 1), so detection is invariant under uniform rescaling of the signal.
+    When candidates crowd closer than min_separation the tallest wins.  Peak
+    times and heights are refined with a parabola through the three samples
+    around each maximum.  An empty train is a valid result, not an error.
+    """
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if min_separation < 0.0:
+        raise ValueError(f"min_separation must be >= 0, got {min_separation}")
+    v = signal.values
+    window = (signal.t0, signal.t_end)
+    if v.size < 3 or float(v.max()) <= 0.0:
+        return PeakTrain(np.array([]), np.array([]), window)
+    level = threshold * float(v.max())
+    interior = np.arange(1, v.size - 1)
+    is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
+    candidates = interior[is_max & (v[interior] >= level)]
+    # tallest-first greedy selection under the separation constraint
+    order = candidates[np.lexsort((candidates, -v[candidates]))]
+    kept: list[int] = []
+    for i in order:
+        if all(abs(i - j) * signal.dt >= min_separation for j in kept):
+            kept.append(int(i))
+    kept.sort()
+    times = np.empty(len(kept))
+    heights = np.empty(len(kept))
+    for out, i in enumerate(kept):
+        a, b, c = v[i - 1], v[i], v[i + 1]
+        curv = a - 2.0 * b + c
+        shift = 0.5 * (a - c) / curv if curv != 0.0 else 0.0
+        times[out] = signal.t0 + signal.dt * (i + shift)
+        heights[out] = b - 0.25 * (a - c) * shift
+    return PeakTrain(times=times, heights=heights, window=window)
+
+
+def assert_same_train(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.heights, want.heights)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.heights.tobytes() == want.heights.tobytes()
+    assert got.window == want.window
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.lists(st.integers(0, 4), min_size=1, max_size=200),
+    scale=st.sampled_from([1, 2, 4, 7]),
+    t0=st.floats(-1e3, 1e3),
+    dt=st.floats(1e-3, 1e3),
+    threshold=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    separation=st.one_of(st.just(0.0), st.just(1e12), st.floats(0.0, 60.0)),
+)
+@example(levels=[0] * 50, scale=1, t0=0.0, dt=1.0, threshold=0.5, separation=2.0)
+@example(levels=[3], scale=4, t0=0.0, dt=1.0, threshold=0.5, separation=0.0)
+@example(levels=[1, 3], scale=4, t0=0.0, dt=1.0, threshold=0.5, separation=0.0)
+@example(levels=[0, 1, 0, 2, 2, 0, 1, 1, 1, 0], scale=2, t0=0.0, dt=1.0,
+         threshold=1.0, separation=0.0)
+@example(levels=[0, 1, 0, 1, 0, 1, 0, 1, 0], scale=1, t0=-3.0, dt=0.5,
+         threshold=0.5, separation=1e12)
+@example(levels=[0, 2, 0, 1, 0, 2, 0, 2, 0], scale=2, t0=0.0, dt=0.1,
+         threshold=0.3, separation=0.2)
+def test_find_peaks_matches_reference(levels, scale, t0, dt, threshold, separation):
+    """Bitwise the reference train on signals quantised to a few levels, so
+    plateaus and tied heights are common; covers zero and whole-window
+    separations, threshold 1, signals under 3 samples and all-zero ones."""
+    values = np.array(levels, dtype=float) / scale
+    sig = Signal(t0, dt, values / max(1.0, values.max()))
+    assert_same_train(find_peaks(sig, threshold, separation),
+                      reference_find_peaks(sig, threshold, separation))
+
+
+def test_find_peaks_matches_reference_on_reference_packet(signal320, spec320):
+    """2x10^4 samples of the n=320 signal at the benchmark's threshold and
+    separation: the same train, bit for bit."""
+    sub = signal320.window(0.0, from_si(5e-6))
+    separation = 0.6 * timescales(spec320).t_cl
+    train = find_peaks(sub, 0.3, separation)
+    assert len(train) > 500
+    assert_same_train(train, reference_find_peaks(sub, 0.3, separation))
+
+
+def test_plateau_rule_differs_from_scipy():
+    """Why the scipy oracle below avoids plateaus: find_peaks takes the
+    first sample of a plateau, scipy.signal.find_peaks its middle."""
+    scipy_signal = pytest.importorskip("scipy.signal")
+    v = np.array([0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0])
+    train = find_peaks(Signal(0.0, 1.0, v), 0.5, 0.0)
+    assert train.times.tolist() == [2.5]  # sample 2, refined half a step right
+    assert scipy_signal.find_peaks(v, height=0.5)[0].tolist() == [4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 200),
+    dt=st.floats(1e-3, 1e3),
+    t0=st.floats(-1e3, 1e3),
+    threshold=st.floats(1e-3, 1.0),
+    distance=st.integers(1, 40),
+)
+def test_find_peaks_matches_scipy_where_rules_agree(data, n, dt, t0, threshold, distance):
+    """Distinct sample values (no plateaus, no tied heights) and a separation
+    of a whole number d of samples: scipy.signal.find_peaks with
+    height=level, distance=d keeps the same samples.  Both keep a sample
+    >= the level, strictly above both neighbours, tallest first, rejecting
+    one closer than d samples to a kept one."""
+    scipy_signal = pytest.importorskip("scipy.signal")
+    values = (np.array(data.draw(st.permutations(range(n))), dtype=float) + 1.0) / n
+    assert np.unique(values).size == n
+    level = threshold * float(values.max())
+    want, _ = scipy_signal.find_peaks(values, height=level, distance=distance)
+    train = find_peaks(Signal(t0, dt, values), threshold, distance * dt)
+    # distinct neighbours keep every parabola shift inside (-1/2, 1/2)
+    kept = np.rint((train.times - t0) / dt).astype(int)
+    assert kept.tolist() == want.tolist()
+
+
+def test_find_peaks_is_not_quadratic(signal320, spec320):
+    """The whole n=320 reference signal (1.8x10^5 samples, ~6,000 kept
+    peaks) at the benchmark's threshold and separation.  The all-pairs
+    selection took ~37 s here; the bisect one takes a few ms."""
+    separation = 0.6 * timescales(spec320).t_cl
+    assert signal320.values.size > 170_000
+    start = time.perf_counter()
+    train = find_peaks(signal320, 0.3, separation)
+    elapsed = time.perf_counter() - start
+    assert len(train) > 5_000
+    assert elapsed < 5.0, f"find_peaks on {signal320.values.size} samples took {elapsed:.1f} s"

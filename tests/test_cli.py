@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -455,3 +456,79 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def unstreamed_predict(argv):
+    """`predict` output as the whole-record writer of earlier versions made it."""
+    args = build_parser().parse_args(argv)
+    spec = AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
+    record = {
+        "nbar": args.nbar,
+        "sigma": args.sigma,
+        "defect": args.defect,
+        "predictions": [p.to_dict() for p in rydlab.prediction_table(spec, args.q or cli.DEFAULT_VERIFY_Q)],
+    }
+    return (json.dumps(record, indent=2) + "\n").encode()
+
+
+PREDICT_CASES = [
+    ["--nbar", "48", "--sigma", "1.5"],
+    ["--nbar", "48", "--sigma", "1.5", "--q", "3"],
+    ["--nbar", "320", "--sigma", "2.5", "--q", "9"],
+    ["--nbar", "320", "--sigma", "2.5", "--q", "36", "--q", "18", "--q", "12",
+     "--q", "9", "--q", "6"],
+    ["--nbar", "321", "--sigma", "2.5", "--defect", "1", "--q", "99", "--q", "27"],
+    ["--nbar", "640", "--sigma", "5", "--q", "147"],
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 1 << 14])
+@pytest.mark.parametrize("flags", PREDICT_CASES)
+def test_streamed_predict_matches_json_dumps(flags, chunk, capsys, tmp_path, monkeypatch):
+    """`predict` streams b in chunks, byte for byte json.dumps(indent=2)."""
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    argv = ["predict", *flags]
+    want = unstreamed_predict(argv)
+    assert command_output(capsys, tmp_path, "stdout", argv) == want
+    assert command_output(capsys, tmp_path, "out", argv) == want
+
+
+def test_streamed_predict_single_weight(monkeypatch):
+    """l = 1 (not reachable from a valid q) and several records in a row."""
+    pred = rydlab.prediction_table(AtomSpec(48, 1.5), [12])[0]
+    preds = [replace(pred, l=1, b=pred.b[:1]), pred, replace(pred, b=-pred.b)]
+    head = {"nbar": 48.0, "sigma": 1.5, "defect": 0.0}
+    want = json.dumps({**head, "predictions": [p.to_dict() for p in preds]}, indent=2) + "\n"
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        assert "".join(cli._predict_json(head, preds)) == want
+
+
+def test_predict_memory_does_not_grow_with_the_text():
+    """--q 299973 (l = 299,973, 26 MB of JSON): writing adds no nested list or
+    whole-text copy on top of computing the weights.  Building the record
+    whole peaked at ~206 MB here.  The peak is the child's VmHWM: its
+    ru_maxrss would also count the pages of the process that spawned it."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs the Linux VmHWM counter")
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import os\n"
+        "from rydlab import AtomSpec, prediction_table\n"
+        "from rydlab.cli import main\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:')) // 1024\n"
+        "prediction_table(AtomSpec(640, 2.5), [299973])\n"
+        "weights_mb = peak()\n"
+        "main(['predict', '--nbar', '640', '--sigma', '2.5', '--q', '299973',\n"
+        "      '--out', os.devnull])\n"
+        "print(weights_mb, peak())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    weights_mb, total_mb = map(int, out.split())
+    assert total_mb - weights_mb < 20, (weights_mb, total_mb)
+    assert total_mb < 140, (weights_mb, total_mb)
