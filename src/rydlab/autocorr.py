@@ -15,18 +15,20 @@ arithmetic, so the absolute phase error stays near 1e-16 cycles even at
 t ~ t_sr (~1e13 a.u.), where naive products would have lost the fractional
 part entirely.
 
-On a uniform grid one kernel evaluates every model.  The global sample
-index is split as i = B*j + m with B = isqrt(count), and
+On a uniform grid one amplitude kernel evaluates every model, and the
+ring slice Psi(phi) of the circular module too (its rates are cycles per
+radian).  With weights w_k, the global sample index split as i = B*j + m
+and B = isqrt(count),
 
     A[B*j + m] = sum_k U[j, k] V[k, m],
-    U[j, k] = p_k exp(-2*pi*i frac(nu_k t0 + nu_k dt B j)),
+    U[j, k] = w_k exp(-2*pi*i frac(nu_k t0 + nu_k dt B j)),
     V[k, m] = exp(-2*pi*i frac(nu_k dt m)),
 
 so a grid of N samples and K terms costs K*(N/B + B) complex exponentials
 and one K-deep complex matrix product.  Samples sit at the exact grid times
 t0 + dt*i, not at the rounded floats of TimeGrid.times.  Blocks are anchored
 on the global index i, so any global index range of a grid evaluates to
-bitwise the same samples as the full run.
+bitwise the same samples as the full run.  |A|^2 takes w_k = p_k.
 """
 
 from __future__ import annotations
@@ -206,64 +208,62 @@ def _a2_over_times(
 _GEMM_ROWS = 32
 
 
-def _a2_chunks(
-    coeffs: CoefficientSet,
-    model: PhaseModel,
-    spec: AtomSpec,
-    grid: TimeGrid,
-    start: int,
-    stop: int,
-    size: int,
-):
-    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), yielded
-    as consecutive arrays of `size` samples (the last may be shorter).
+def _amplitude_chunks(weights, rate, x0, dx, count, start, stop, size, squared=False):
+    """sum_k weights[k] exp(-2*pi*i frac(rate_k x)) at the exact points
+    x = x0 + dx*i, i in [start, stop), of a count-point grid, yielded as
+    consecutive arrays of `size` samples (the last may be shorter); with
+    squared, re^2 + im^2 of each product instead.
 
-    The rate table, V and the rows of U are built once, and each product of
-    _GEMM_ROWS rows of U once, so memory is O(K*sqrt(count) + size) whatever
-    the range.  Blocks are anchored on the global index, so any partition of
-    [0, grid.count) and any chunk size reproduce the full run bitwise.
+    V, the rows of U and each product of _GEMM_ROWS rows are formed once,
+    so memory is O(K*sqrt(count) + size) whatever the range, and any
+    partition of [0, count) and any chunk size reproduce the full run
+    bitwise.
     """
-    if not 0 <= start < stop <= grid.count:
-        raise ValueError(f"index range [{start}, {stop}) not inside [0, {grid.count})")
-    rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
-    block = math.isqrt(grid.count)
-    per_sample = dd.dd_mul_f(rate, grid.dt)
+    if not 0 <= start < stop <= count:
+        raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
+    block = math.isqrt(count)
+    per_sample = dd.dd_mul_f(rate, dx)
     # Rows of U: the blocks touching [start, stop), widened to whole groups.
     j0 = start // block // _GEMM_ROWS * _GEMM_ROWS
     j1 = -(-((stop - 1) // block + 1) // _GEMM_ROWS) * _GEMM_ROWS
     j = np.arange(j0, j1, dtype=float)[:, None]
     row_cycles = dd.dd_frac(dd.dd_add(
-        dd.dd_mul_f(rate, grid.t0), dd.dd_mul_f(dd.dd_mul_f(per_sample, float(block)), j)
+        dd.dd_mul_f(rate, x0), dd.dd_mul_f(dd.dd_mul_f(per_sample, float(block)), j)
     ))
-    u = coeffs.probabilities * np.exp(-2j * np.pi * row_cycles)
+    u = weights * np.exp(-2j * np.pi * row_cycles)
     m = np.arange(block, dtype=float)
     col_rate = (per_sample[0][:, None], per_sample[1][:, None])
     v = np.exp(-2j * np.pi * dd.dd_frac(dd.dd_mul_f(col_rate, m)))
     span = _GEMM_ROWS * block  # samples per product
-    formed = -1  # first sample of the product held in a2
+    formed = -1  # first sample of the product held
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
-        out = np.empty(hi - lo)
+        out = np.empty(hi - lo, dtype=float if squared else complex)
         for first in range(lo // span * span, hi, span):
             if first != formed:
                 r = first // block - j0
-                amp = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)
-                a2, formed = amp.real**2 + amp.imag**2, first
+                held = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)
+                if squared:
+                    held = held.real**2 + held.imag**2
+                formed = first
             a, b = max(lo, first), min(hi, first + span)
-            out[a - lo : b - lo] = a2[a - first : b - first]
+            out[a - lo : b - lo] = held[a - first : b - first]
         yield out
+
+
+def _a2_chunks(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
+               grid: TimeGrid, start: int, stop: int, size: int):
+    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), in
+    chunks of `size` samples: the amplitude kernel with weights p_k."""
+    rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
+    return _amplitude_chunks(coeffs.probabilities, rate, grid.t0, grid.dt, grid.count,
+                             start, stop, size, squared=True)
 
 
 def autocorrelation(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, grid: TimeGrid
 ) -> Signal:
-    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i.
-
-    Cost for N = grid.count samples and K terms: K*(N/B + B) complex
-    exponentials with B = isqrt(N), plus one K-deep complex matrix product.
-    Blocks are anchored on the global sample index, so evaluating any
-    partition of [0, N) into index ranges with _a2_chunks yields bitwise
-    the same samples.
-    """
+    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i: one chunk of
+    _a2_chunks, at the cost given in the module docstring."""
     values = next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
     return Signal(t0=grid.t0, dt=grid.dt, values=values)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorr import PhaseModel, phase_cycles
+from . import _ddmath as dd
+from .autocorr import PhaseModel, _amplitude_chunks, phase_cycles
 from .packet import CoefficientSet
 from .spectrum import AtomSpec
 
@@ -34,10 +35,6 @@ class AngularGrid:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not (self.dphi > 0.0):
             raise ValueError(f"dphi must be > 0, got {self.dphi}")
-
-    @property
-    def phis(self) -> np.ndarray:
-        return self.phi0 + self.dphi * np.arange(self.count)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ def log_amplitude(n: float, r: float):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be > 0")
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise ValueError("radius must be finite and > 0")
     out = (
         math.log(2.0)
         - 2.0 * math.log(n)
@@ -99,6 +96,21 @@ def log_amplitude(n: float, r: float):
     return out if out.ndim else float(out)
 
 
+def _slice_terms(coeffs: CoefficientSet, spec: AtomSpec, t: float, r: float):
+    """Weights a_k = c_k exp(L_k - L_max) exp(-i theta_k(t)) (exact phases)
+    and double-double rates nu_k = -(n_k - 1)/(2*pi) cycles per radian, so
+    that Psi(phi) = sum_k a_k exp(-2*pi*i nu_k phi).  L_k is the log
+    amplitude of state k at radius r, L_max the largest (the common scale).
+    Finite weights keep every Psi(phi) finite, so this is the only check."""
+    logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
+    thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
+    weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("slice amplitudes must be finite")
+    m = spec.nbar + coeffs.offsets - 1.0
+    return weights, dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
+
+
 def angular_slice(
     coeffs: CoefficientSet,
     spec: AtomSpec,
@@ -106,23 +118,16 @@ def angular_slice(
     grid: AngularGrid,
     r: float | None = None,
 ) -> AngularSlice:
-    """Ring slice Psi(phi) at time t, exact energy phases.
-
-    Each eigenstate contributes c_k * exp(L_k - L_max) * exp(i[(n_k - 1) phi
-    - theta_k(t)]) with L_k its log amplitude at the ring radius and L_max
-    the largest of them (the common-scale normalization).  r defaults to
-    the expectation radius of the central state.
+    """Ring slice Psi(phi) = sum_k c_k exp(L_k - L_max) exp(i[(n_k - 1) phi
+    - theta_k(t)]) at the exact grid angles phi0 + dphi*i: one chunk of the
+    amplitude kernel (see _slice_terms).  r defaults to the expectation
+    radius of the central state.
     """
     if r is None:
         r = expectation_radius(spec.nbar)
-    phis = grid.phis
-    logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
-    scaled = np.exp(logs - logs.max())
-    thetas = 2.0 * np.pi * phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
-    values = np.zeros(phis.shape, dtype=np.complex128)
-    for k, c, w, theta in zip(coeffs.offsets, coeffs.weights, scaled, thetas):
-        m = spec.nbar + float(k) - 1.0
-        values += (c * w) * np.exp(1j * (m * phis - float(theta)))
+    weights, rate = _slice_terms(coeffs, spec, t, r)
+    values = next(_amplitude_chunks(weights, rate, grid.phi0, grid.dphi, grid.count,
+                                    0, grid.count, grid.count))
     return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=values, t=t, r=r)
 
 

@@ -185,14 +185,14 @@ def reconstruct(
     """Residual of the subsidiary-packet expansion at time t.
 
     Per offset k the third-order phase factor is compared with the
-    superposition sum_s b_s exp(-2*pi*i k (t + s*alpha*T_cl/l) / T_cl); the
-    return value is the |c_k|-weighted root-sum-square difference, i.e. the
-    L2 distance between the order-3 wave function and its subsidiary-packet
-    reconstruction.  At exactly t = t_sr/q the quadratic-plus-cubic phase
-    factor is periodic in k with period l and the b_s are its inverse
-    discrete Fourier expansion, so the residual vanishes to rounding level.
-    The expansion is local: t must lie within t_rev of the prediction's
-    time center.
+    superposition sum_s b_s exp(-2*pi*i k (t + s*alpha*T_cl/l) / T_cl), one
+    l-point FFT of b read at k*alpha mod l.  The return value is the
+    |c_k|-weighted root-sum-square difference, i.e. the L2 distance between
+    the order-3 wave function and its subsidiary-packet reconstruction.  At
+    exactly t = t_sr/q the quadratic-plus-cubic phase factor is periodic in
+    k with period l and the b_s are its inverse discrete Fourier expansion,
+    so the residual vanishes to rounding level.  The expansion is local: t
+    must lie within t_rev of the prediction's time center.
     """
     scales = timescales_from_nstar(spec.nstar)
     if abs(t - prediction.time_center) > scales.t_rev * (1.0 + 1e-9):
@@ -202,10 +202,8 @@ def reconstruct(
     k = coeffs.offsets
     lin = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER1, k, t, spec))
     order3_factor = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER3, k, t, spec))
-    # (k * s * alpha) mod l, reduced before multiplying so int64 cannot wrap
-    shift_steps = (np.outer(k, np.arange(l)) % l) * (alpha % l) % l
-    shifts = np.exp(-2j * np.pi * shift_steps / l)
-    superposition = lin * (shifts @ b)
+    # sum_s b_s exp(-2*pi*i (k*alpha mod l) s / l) is the DFT of b at k*alpha
+    superposition = lin * np.fft.fft(b)[(k % l) * (alpha % l) % l]
     return math.sqrt(float(np.sum(
         coeffs.probabilities * np.abs(order3_factor - superposition) ** 2
     )))

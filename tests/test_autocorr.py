@@ -20,7 +20,9 @@ from rydlab import (
     gaussian_packet,
     timescales,
 )
-from rydlab.autocorr import _a2_chunks, _a2_over_times, phase_cycles
+from rydlab.autocorr import (
+    _a2_chunks, _a2_over_times, _amplitude_chunks, _cycle_rates, phase_cycles,
+)
 
 from conftest import circular_distance
 
@@ -278,34 +280,60 @@ def test_grid_kernel_matches_mp_oracle_at_exact_grid_times(model, late_grid_640)
     assert worst < 1e-13
 
 
-@pytest.mark.parametrize("model", list(PhaseModel))
-def test_index_ranges_reproduce_full_grid_bitwise(model, late_grid_640):
+def kernel_chunks(kernel, coeffs, model, spec, grid, start, stop, size):
+    """Chunks of |A|^2 ("a2") or of the complex amplitude ("amplitude") with
+    the packet's weights turned by fixed random phases, over one grid."""
+    if kernel == "a2":
+        return _a2_chunks(coeffs, model, spec, grid, start, stop, size)
+    turns = np.exp(2j * np.pi * np.random.default_rng(3).random(coeffs.offsets.size))
+    rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
+    return _amplitude_chunks(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count,
+                             start, stop, size)
+
+
+def full_run(kernel, coeffs, model, spec, grid):
+    if kernel == "a2":
+        return autocorrelation(coeffs, model, spec, grid).values
+    return next(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count, grid.count))
+
+
+def with_amplitude_kernel(values):
+    """Each value for the |A|^2 kernel (ids unchanged) and again, id-prefixed,
+    for the complex amplitude kernel."""
+    return [pytest.param("a2", v, id=str(v)) for v in values] + [
+        pytest.param("amplitude", v, id=f"amplitude-{v}") for v in values
+    ]
+
+
+@pytest.mark.parametrize("kernel, model", with_amplitude_kernel(list(PhaseModel)))
+def test_index_ranges_reproduce_full_grid_bitwise(kernel, model, late_grid_640):
     """Uneven cuts, including single samples and cuts inside one block."""
     spec, coeffs, grid = late_grid_640
-    full = autocorrelation(coeffs, model, spec, grid).values
+    full = full_run(kernel, coeffs, model, spec, grid)
     cuts = [0, 1, 2, 130, 131, 4099, 4500, 12_000, grid.count - 1, grid.count]
     parts = [
-        next(_a2_chunks(coeffs, model, spec, grid, lo, hi, hi - lo))
+        next(kernel_chunks(kernel, coeffs, model, spec, grid, lo, hi, hi - lo))
         for lo, hi in zip(cuts, cuts[1:])
     ]
     assert np.array_equal(np.concatenate(parts), full)
     with pytest.raises(ValueError):
-        next(_a2_chunks(coeffs, model, spec, grid, 5, 5, 0))
+        next(kernel_chunks(kernel, coeffs, model, spec, grid, 5, 5, 0))
     with pytest.raises(ValueError):
-        next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count + 1, grid.count + 1))
+        next(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count + 1,
+                           grid.count + 1))
 
 
-@pytest.mark.parametrize("size", [1, 7, 4159, 4160, 4161, 17_101])
-def test_chunk_sizes_reproduce_full_grid_bitwise(size, late_grid_640):
+@pytest.mark.parametrize("kernel, size", with_amplitude_kernel([1, 7, 4159, 4160, 4161, 17_101]))
+def test_chunk_sizes_reproduce_full_grid_bitwise(kernel, size, late_grid_640):
     """Chunks of any size, inside one 32-block matrix product (4160 samples
     here) or straddling two, concatenate to the full run bitwise."""
     spec, coeffs, grid = late_grid_640
     model = PhaseModel.ORDER3
-    full = autocorrelation(coeffs, model, spec, grid).values
-    chunks = list(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, size))
+    full = full_run(kernel, coeffs, model, spec, grid)
+    chunks = list(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count, size))
     assert all(c.size == size for c in chunks[:-1]) and 0 < chunks[-1].size <= size
     assert np.array_equal(np.concatenate(chunks), full)
-    sub = _a2_chunks(coeffs, model, spec, grid, 131, 12_000, size)
+    sub = kernel_chunks(kernel, coeffs, model, spec, grid, 131, 12_000, size)
     assert np.array_equal(np.concatenate(list(sub)), full[131:12_000])
 
 

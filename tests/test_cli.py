@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,12 +296,41 @@ def test_oversized_slice_is_usage_error(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("slice evaluated for oversized --points")
 
-    monkeypatch.setattr("rydlab.cli.angular_slice", unreachable)
+    monkeypatch.setattr("rydlab.cli._slice_terms", unreachable)
+    monkeypatch.setattr("rydlab.cli._amplitude_chunks", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "0",
               "--points", str(MAX_SAMPLES + 1)])
     assert exc.value.code == 2
     assert str(MAX_SAMPLES) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+def test_bad_slice_radius_is_usage_error_before_any_output(radius, capsys):
+    """A radius that is not finite and > 0 exits 2 with nothing written and
+    no warning, even though slice output is streamed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "0",
+                  "--points", "100", "--radius", radius])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "radius" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_slice_weights_are_usage_error_before_any_output(capsys):
+    """At nbar = 1e200 the state amplitudes overflow; slice output is
+    streamed, so this must be caught in the weights, before the header."""
+    with pytest.raises(SystemExit) as exc:
+        main(["slice", "--nbar", "1e200", "--sigma", "2.5", "--t", "0",
+              "--points", "10", "--radius", "1e5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 # The writers before output was streamed, kept verbatim as the oracle that

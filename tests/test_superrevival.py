@@ -1,6 +1,7 @@
 """Subsidiary-packet weights, integer constants, and the reconstruction identity."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from rydlab import (
     AtomSpec,
     FractionSpec,
+    PhaseModel,
     gaussian_packet,
     integer_constants,
     prediction_table,
@@ -20,6 +22,7 @@ from rydlab import (
     to_si,
     weights,
 )
+from rydlab.autocorr import phase_cycles
 from rydlab.superrevival import NONZERO_WEIGHT_EPS
 
 REFERENCE_Q = (36, 18, 12, 9, 6)
@@ -237,6 +240,51 @@ def test_reconstruction_identity_at_fraction_times():
             pred = weights(nbar, q)
             residual = reconstruct(coeffs, pred, spec, ts.t_sr / q)
             assert residual < 1e-9, f"nbar={nbar} q={q}: residual={residual:.2e}"
+
+
+def outer_product_reconstruct(coeffs, prediction, spec, t):
+    """Reference: the residual with the superposition as a K x l outer
+    product of shift exponentials times b (O(K*l) memory)."""
+    l, alpha, b = prediction.l, prediction.alpha, prediction.b
+    k = coeffs.offsets
+    lin = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER1, k, t, spec))
+    order3_factor = np.exp(-2j * np.pi * phase_cycles(PhaseModel.ORDER3, k, t, spec))
+    # (k * s * alpha) mod l, reduced before multiplying so int64 cannot wrap
+    shift_steps = (np.outer(k, np.arange(l)) % l) * (alpha % l) % l
+    shifts = np.exp(-2j * np.pi * shift_steps / l)
+    superposition = lin * (shifts @ b)
+    return math.sqrt(float(np.sum(
+        coeffs.probabilities * np.abs(order3_factor - superposition) ** 2
+    )))
+
+
+def test_reconstruction_matches_outer_product_reference():
+    """The one-FFT superposition gives the outer-product residual, at the
+    fraction times (residual ~0) and away from them (residual ~1.6)."""
+    for nbar, sigma in ((320, 2.5), (48, 1.5)):
+        spec = AtomSpec(nbar, sigma)
+        coeffs = gaussian_packet(spec)
+        ts = timescales(spec)
+        for q in (*REFERENCE_Q, 150, 303):
+            pred = weights(nbar, q)
+            for shift in (0.0, 0.1, 0.37, -0.8):
+                t = ts.t_sr / q + shift * ts.t_rev
+                got = reconstruct(coeffs, pred, spec, t)
+                want = outer_product_reconstruct(coeffs, pred, spec, t)
+                assert abs(got - want) <= 1e-13, f"nbar={nbar} q={q} shift={shift}"
+
+
+def test_reconstruction_at_large_l():
+    """l = 299,973 weights: the K x l outer product would hold ~0.7 GB; the
+    FFT form runs in well under a second and the identity still holds."""
+    spec = AtomSpec(640, 5.0)
+    coeffs = gaussian_packet(spec)
+    pred = weights(640, 3 * 99991)
+    assert pred.l == 3 * 99991
+    start = time.perf_counter()
+    residual = reconstruct(coeffs, pred, spec, timescales(spec).t_sr / pred.q)
+    assert time.perf_counter() - start < 5.0
+    assert residual < 1e-9
 
 
 def test_reconstruction_is_local():
