@@ -182,20 +182,39 @@ def verify(
         t_rev = pred.periodicity * pred.q / 3.0
         hw = t_rev if half_width is None else half_width
         lo, hi = pred.time_center - hw, pred.time_center + hw
-        measured = deviation = height = None
-        n_peaks, status = 0, "not evaluated"
-        if not (lo < signal.t0 - signal.dt or hi > signal.t_end + signal.dt):
-            train = find_peaks(
-                signal.window(lo, hi), threshold, separation_factor * pred.periodicity
+        if lo < signal.t0 - signal.dt or hi > signal.t_end + signal.dt:
+            entries.append(
+                VerificationEntry(
+                    q=pred.q, predicted=pred.periodicity, measured=None,
+                    deviation=None, peak_height=None, n_peaks=0,
+                    status="not evaluated",
+                )
             )
-            n_peaks, status = len(train), "fail"
-            height = float(train.heights.max()) if n_peaks else None
-            if n_peaks >= 3:
-                measured = estimate_periodicity(train, pred.periodicity).period
-                deviation = abs(measured - pred.periodicity) / pred.periodicity
-                status = "pass" if deviation <= tolerance else "fail"
-        entries.append(VerificationEntry(
-            q=pred.q, predicted=pred.periodicity, measured=measured, deviation=deviation,
-            peak_height=height, n_peaks=n_peaks, status=status,
-        ))
+            continue
+        train = find_peaks(
+            signal.window(lo, hi), threshold, separation_factor * pred.periodicity
+        )
+        height = float(train.heights.max()) if len(train) else None
+        if len(train) < 3:
+            entries.append(
+                VerificationEntry(
+                    q=pred.q, predicted=pred.periodicity, measured=None,
+                    deviation=None, peak_height=height, n_peaks=len(train),
+                    status="fail",
+                )
+            )
+            continue
+        est = estimate_periodicity(train, predicted_period=pred.periodicity)
+        deviation = abs(est.period - pred.periodicity) / pred.periodicity
+        entries.append(
+            VerificationEntry(
+                q=pred.q,
+                predicted=pred.periodicity,
+                measured=est.period,
+                deviation=deviation,
+                peak_height=height,
+                n_peaks=len(train),
+                status="pass" if deviation <= tolerance else "fail",
+            )
+        )
     return entries

@@ -208,7 +208,17 @@ def _a2_over_times(
 _GEMM_ROWS = 32
 
 
-def _amplitude_chunks(weights, rate, x0, dx, count, start, stop, size, squared=False):
+def _amplitude_chunks(
+    weights: np.ndarray,
+    rate,
+    x0: float,
+    dx: float,
+    count: int,
+    start: int,
+    stop: int,
+    size: int,
+    squared: bool = False,
+):
     """sum_k weights[k] exp(-2*pi*i frac(rate_k x)) at the exact points
     x = x0 + dx*i, i in [start, stop), of a count-point grid, yielded as
     consecutive arrays of `size` samples (the last may be shorter); with
@@ -251,8 +261,15 @@ def _amplitude_chunks(weights, rate, x0, dx, count, start, stop, size, squared=F
         yield out
 
 
-def _a2_chunks(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
-               grid: TimeGrid, start: int, stop: int, size: int):
+def _a2_chunks(
+    coeffs: CoefficientSet,
+    model: PhaseModel,
+    spec: AtomSpec,
+    grid: TimeGrid,
+    start: int,
+    stop: int,
+    size: int,
+):
     """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), in
     chunks of `size` samples: the amplitude kernel with weights p_k."""
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
@@ -263,7 +280,13 @@ def _a2_chunks(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
 def autocorrelation(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, grid: TimeGrid
 ) -> Signal:
-    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i: one chunk of
-    _a2_chunks, at the cost given in the module docstring."""
+    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i.
+
+    Cost for N = grid.count samples and K terms: K*(N/B + B) complex
+    exponentials with B = isqrt(N), plus one K-deep complex matrix product.
+    Blocks are anchored on the global sample index, so evaluating any
+    partition of [0, N) into index ranges with _a2_chunks yields bitwise
+    the same samples.
+    """
     values = next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
     return Signal(t0=grid.t0, dt=grid.dt, values=values)

@@ -96,21 +96,6 @@ def log_amplitude(n: float, r: float):
     return out if out.ndim else float(out)
 
 
-def _slice_terms(coeffs: CoefficientSet, spec: AtomSpec, t: float, r: float):
-    """Weights a_k = c_k exp(L_k - L_max) exp(-i theta_k(t)) (exact phases)
-    and double-double rates nu_k = -(n_k - 1)/(2*pi) cycles per radian, so
-    that Psi(phi) = sum_k a_k exp(-2*pi*i nu_k phi).  L_k is the log
-    amplitude of state k at radius r, L_max the largest (the common scale).
-    Finite weights keep every Psi(phi) finite, so this is the only check."""
-    logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
-    thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
-    weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("slice amplitudes must be finite")
-    m = spec.nbar + coeffs.offsets - 1.0
-    return weights, dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
-
-
 def angular_slice(
     coeffs: CoefficientSet,
     spec: AtomSpec,
@@ -118,14 +103,22 @@ def angular_slice(
     grid: AngularGrid,
     r: float | None = None,
 ) -> AngularSlice:
-    """Ring slice Psi(phi) = sum_k c_k exp(L_k - L_max) exp(i[(n_k - 1) phi
-    - theta_k(t)]) at the exact grid angles phi0 + dphi*i: one chunk of the
-    amplitude kernel (see _slice_terms).  r defaults to the expectation
-    radius of the central state.
+    """Ring slice Psi(phi) at time t, exact energy phases.
+
+    Each eigenstate contributes c_k * exp(L_k - L_max) * exp(i[(n_k - 1) phi
+    - theta_k(t)]) with L_k its log amplitude at the ring radius and L_max
+    the largest of them (the common-scale normalization).  r defaults to
+    the expectation radius of the central state.  The sum is one run of the
+    amplitude kernel, with rates -(n_k - 1)/(2*pi) cycles per radian, so
+    Psi sits at the exact grid angles phi0 + dphi*i.
     """
     if r is None:
         r = expectation_radius(spec.nbar)
-    weights, rate = _slice_terms(coeffs, spec, t, r)
+    logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
+    thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
+    weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
+    m = spec.nbar + coeffs.offsets - 1.0
+    rate = dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
     values = next(_amplitude_chunks(weights, rate, grid.phi0, grid.dphi, grid.count,
                                     0, grid.count, grid.count))
     return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=values, t=t, r=r)

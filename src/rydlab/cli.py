@@ -2,8 +2,8 @@
 
 Times cross the CLI boundary in SI seconds; computation runs in atomic
 units and data files carry both.  Every command writes through one
-streaming writer.  `autocorr` and `slice` evaluate, format and write |A|^2
-and Psi(phi) in chunks of CHUNK_ROWS rows, and `predict` formats each
+streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
+of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
 weight list b the same way: one format call per chunk, each chunk written
 before the next is formed, so memory does not grow with the size of the
 text.  Identical flags produce byte-identical output, whatever the chunk
@@ -27,9 +27,8 @@ from itertools import chain
 import numpy as np
 
 from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, verify
-from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _amplitude_chunks, _check_a2
-from .autocorr import autocorrelation
-from .circular import AngularGrid, _slice_terms, expectation_radius
+from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2, autocorrelation
+from .circular import AngularGrid, angular_slice
 from .packet import gaussian_packet
 from .spectrum import AtomSpec, from_si, timescales, to_si
 from .superrevival import prediction_table
@@ -44,10 +43,10 @@ SAMPLES_PER_CLASSICAL_PERIOD = 20
 
 # Largest size a command evaluates: |A|^2 samples, slice points, and the
 # weight count l of each prediction (l <= q, so --q is bounded too).
-# `autocorr`, `slice` and `predict` stream their text, but `verify` holds
-# the whole signal and its peak search, and every prediction its b_s array
-# (16 bytes per weight, never their text); larger sizes are usage errors
-# rather than a MemoryError or an hours-long run.
+# `autocorr` and `predict` stream their text, but `verify` holds the whole
+# signal and its peak search, `slice` the whole Psi(phi), and every
+# prediction its b_s array (16 bytes per weight, never their text); larger
+# sizes are usage errors rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
 
 # Rows evaluated, formatted and written at a time.
@@ -183,26 +182,21 @@ def cmd_slice(parser, args) -> int:
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
-    r = expectation_radius(spec.nbar) if args.radius is None else args.radius
     try:
-        weights, rate = _slice_terms(coeffs, spec, from_si(args.t), r)
+        result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
     except ValueError as exc:
         parser.error(str(exc))
-
-    def psi(part):  # one column, its own kernel run, so none is held whole
-        chunks = _amplitude_chunks(weights, rate, grid.phi0, grid.dphi, grid.count,
-                                   0, grid.count, CHUNK_ROWS)
-        return (part(z).tolist() for z in chunks)
-
+    values = result.values
+    parts = _chunks(values.size)
     columns = {
-        "phi": ((grid.phi0 + grid.dphi * np.arange(lo, hi)).tolist()
-                for lo, hi in _chunks(grid.count)),
-        "re": psi(np.real),
-        "im": psi(np.imag),
+        "phi": ((grid.phi0 + grid.dphi * np.arange(lo, hi)).tolist() for lo, hi in parts),
+        "re": (values.real[lo:hi].tolist() for lo, hi in parts),
+        "im": (values.imag[lo:hi].tolist() for lo, hi in parts),
         # hypot is abs(complex) bitwise; numpy's abs differs in the last bit
-        "abs": psi(lambda z: np.hypot(z.real, z.imag)),
+        "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]).tolist()
+                for lo, hi in parts),
     }
-    scalars = {"t_si": args.t, "r_au": r}
+    scalars = {"t_si": args.t, "r_au": result.r}
     _write(args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))
     return 0
 

@@ -296,8 +296,7 @@ def test_oversized_slice_is_usage_error(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("slice evaluated for oversized --points")
 
-    monkeypatch.setattr("rydlab.cli._slice_terms", unreachable)
-    monkeypatch.setattr("rydlab.cli._amplitude_chunks", unreachable)
+    monkeypatch.setattr("rydlab.cli.angular_slice", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "0",
               "--points", str(MAX_SAMPLES + 1)])
@@ -308,7 +307,7 @@ def test_oversized_slice_is_usage_error(monkeypatch, capsys):
 @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
 def test_bad_slice_radius_is_usage_error_before_any_output(radius, capsys):
     """A radius that is not finite and > 0 exits 2 with nothing written and
-    no warning, even though slice output is streamed."""
+    no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit) as exc:
@@ -321,9 +320,9 @@ def test_bad_slice_radius_is_usage_error_before_any_output(radius, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_slice_weights_are_usage_error_before_any_output(capsys):
-    """At nbar = 1e200 the state amplitudes overflow; slice output is
-    streamed, so this must be caught in the weights, before the header."""
+def test_non_finite_slice_is_usage_error_before_any_output(capsys):
+    """At nbar = 1e200 the state amplitudes overflow; that is a usage error,
+    caught before the header is written."""
     with pytest.raises(SystemExit) as exc:
         main(["slice", "--nbar", "1e200", "--sigma", "2.5", "--t", "0",
               "--points", "10", "--radius", "1e5"])
