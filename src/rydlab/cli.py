@@ -4,10 +4,11 @@ Times cross the CLI boundary in SI seconds; computation runs in atomic
 units and data files carry both.  Every command writes through one
 streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
 of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
-weight list b the same way: one format call per chunk, each chunk written
-before the next is formed, so memory does not grow with the size of the
-text.  Identical flags produce byte-identical output, whatever the chunk
-size.
+weight list b the same way, each chunk written before the next is formed,
+so memory does not grow with the size of the text.  CSV fields are the
+bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat); JSON
+numbers are float.__repr__.  Identical flags produce byte-identical
+output, whatever the chunk size.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure, 2 usage error.
 """
@@ -41,13 +42,17 @@ DEFAULT_VERIFY_Q = (12, 6)
 # oscillation present for the |k| range of any sane packet.
 SAMPLES_PER_CLASSICAL_PERIOD = 20
 
-# Largest size a command evaluates: |A|^2 samples, slice points, and the
-# weight count l of each prediction (l <= q, so --q is bounded too).
-# `autocorr` and `predict` stream their text, but `verify` holds the whole
-# signal and its peak search, `slice` the whole Psi(phi), and every
-# prediction its b_s array (16 bytes per weight, never their text); larger
-# sizes are usage errors rather than a MemoryError halfway through.
+# Largest size a command evaluates: |A|^2 samples and slice points.
+# `autocorr` streams its text, but `verify` holds the whole signal and its
+# peak search and `slice` the whole Psi(phi); larger sizes are usage errors
+# rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
+
+# Largest --q.  A prediction holds l <= q weights, and their inverse FFT
+# peaks at ~176 bytes per weight when l has a large prime factor (measured
+# at l = 999,993 = 3 x 333,331: 197 MB), so no admitted q needs much more
+# than 200 MB.
+MAX_Q = 10**6
 
 # Rows evaluated, formatted and written at a time.
 CHUNK_ROWS = 1 << 14
@@ -60,16 +65,20 @@ def _chunks(count: int) -> list[tuple[int, int]]:
 
 def _csv(columns: dict):
     """CSV text of float columns, each an iterable of equal-length chunks
-    (lists of floats): the header, then one %-format call per chunk."""
+    (float arrays): the header, then the rows of each chunk, every field
+    the bytes of '%.11e' % x."""
+    # Imported here, so that commands that write no CSV neither compile it
+    # nor build its tables.
+    from ._sciformat import csv_rows
+
     yield ",".join(columns) + "\n"
-    row = ",".join(["%.11e"] * len(columns)) + "\n"
     for chunk in zip(*columns.values()):
-        yield (row * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
+        yield from csv_rows(chunk)
 
 
 def _json(scalars: dict, columns: dict):
     """json.dumps({**scalars, **columns}, indent=2) + "\n" in pieces, each
-    column an iterable of chunks (lists of finite floats) streamed in turn."""
+    column an iterable of chunks (arrays of finite floats) streamed in turn."""
     sep = "{\n"
     for key, value in scalars.items():
         yield f"{sep}  {json.dumps(key)}: {json.dumps(value)}"
@@ -78,7 +87,7 @@ def _json(scalars: dict, columns: dict):
         yield f"{sep}  {json.dumps(key)}: ["
         sep = "\n    "
         for chunk in chunks:
-            yield sep + ",\n    ".join(map(float.__repr__, chunk))
+            yield sep + ",\n    ".join(map(float.__repr__, chunk.tolist()))
             sep = ",\n    "
         yield "\n  ]"
         sep = ",\n"
@@ -105,8 +114,8 @@ def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
 
 def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
     qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
-    if max(qs) > MAX_SAMPLES:
-        parser.error(f"--q must be <= {MAX_SAMPLES}, got {max(qs)}")
+    if max(qs) > MAX_Q:
+        parser.error(f"--q must be <= {MAX_Q}, got {max(qs)}")
     try:
         return prediction_table(spec, qs)
     except ValueError as exc:
@@ -167,9 +176,9 @@ def cmd_autocorr(parser, args) -> int:
     a2 = _a2_chunks(coeffs, PhaseModel(args.model), spec, grid, 0, grid.count, CHUNK_ROWS)
     parts = _chunks(grid.count)
     columns = {
-        "t_au": ((grid.t0 + grid.dt * np.arange(lo, hi)).tolist() for lo, hi in parts),
-        "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)).tolist() for lo, hi in parts),
-        "a2": (_check_a2(values).tolist() for values in a2),
+        "t_au": (grid.t0 + grid.dt * np.arange(lo, hi) for lo, hi in parts),
+        "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)) for lo, hi in parts),
+        "a2": (_check_a2(values) for values in a2),
     }
     _write(args.out, _csv(columns) if args.format == "csv" else _json({}, columns))
     return 0
@@ -189,12 +198,11 @@ def cmd_slice(parser, args) -> int:
     values = result.values
     parts = _chunks(values.size)
     columns = {
-        "phi": ((grid.phi0 + grid.dphi * np.arange(lo, hi)).tolist() for lo, hi in parts),
-        "re": (values.real[lo:hi].tolist() for lo, hi in parts),
-        "im": (values.imag[lo:hi].tolist() for lo, hi in parts),
+        "phi": (grid.phi0 + grid.dphi * np.arange(lo, hi) for lo, hi in parts),
+        "re": (values.real[lo:hi] for lo, hi in parts),
+        "im": (values.imag[lo:hi] for lo, hi in parts),
         # hypot is abs(complex) bitwise; numpy's abs differs in the last bit
-        "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]).tolist()
-                for lo, hi in parts),
+        "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]) for lo, hi in parts),
     }
     scalars = {"t_si": args.t, "r_au": result.r}
     _write(args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))

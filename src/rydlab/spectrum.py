@@ -19,12 +19,17 @@ from dataclasses import dataclass
 # Atomic unit of time in seconds (hbar / E_h).
 ATOMIC_UNIT_OF_TIME = 2.4188843265857e-17
 
+# Largest nbar.  The double-double rate tables split t_sr = pi*n*^5 by the
+# Veltkamp factor 2**27 + 1, which overflows past n* ~ 8e59; the time
+# scales themselves overflow past ~3.6e61.
+MAX_NBAR = 1e59
+
 
 @dataclass(frozen=True)
 class AtomSpec:
     """Parameters of a simulated wave packet.
 
-    nbar:   central principal quantum number (real, >= 1)
+    nbar:   central principal quantum number (real, in [1, MAX_NBAR])
     sigma:  width of the excitation distribution in units of n (> 0)
     defect: quantum defect delta for a single angular-momentum channel (>= 0)
     """
@@ -39,6 +44,11 @@ class AtomSpec:
         object.__setattr__(self, "defect", float(self.defect))
         if not (self.nbar >= 1.0):
             raise ValueError(f"nbar must be >= 1, got {self.nbar}")
+        if not (self.nbar <= MAX_NBAR):
+            raise ValueError(
+                f"nbar must be <= {MAX_NBAR:g}, beyond which the time scales and "
+                f"phase rates are not finite; got {self.nbar}"
+            )
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not (self.defect >= 0.0):

@@ -23,6 +23,7 @@ from rydlab import (
 from rydlab.autocorr import (
     _a2_chunks, _a2_over_times, _amplitude_chunks, _cycle_rates, phase_cycles,
 )
+from rydlab.spectrum import MAX_NBAR
 
 from conftest import circular_distance
 
@@ -397,3 +398,19 @@ def test_signal_validation_and_window():
     assert np.array_equal(sub.values, np.array([0.2, 0.3]))
     with pytest.raises(ValueError):
         sig.window(16.5, 17.0)
+
+
+@pytest.mark.parametrize("model", list(PhaseModel), ids=lambda m: m.value)
+def test_largest_nbar_keeps_rates_and_signal_finite(model):
+    """At MAX_NBAR every rate table, the time scales and |A|^2 are finite;
+    one step above it AtomSpec refuses the packet."""
+    spec = AtomSpec(MAX_NBAR, 2.5)
+    scales = timescales(spec)
+    assert all(map(math.isfinite, (scales.t_cl, scales.t_rev, scales.t_sr)))
+    coeffs = gaussian_packet(spec)
+    hi, lo = _cycle_rates(model, spec.nstar, coeffs.offsets)
+    assert np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))
+    signal = autocorrelation(coeffs, model, spec, TimeGrid(0.0, scales.t_cl / 20, 64))
+    assert np.all(np.isfinite(signal.values))
+    with pytest.raises(ValueError, match="nbar must be <="):
+        AtomSpec(np.nextafter(MAX_NBAR, math.inf), 2.5)

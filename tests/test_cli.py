@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydlab
 from rydlab import cli
@@ -27,7 +29,7 @@ from rydlab import (
     gaussian_packet,
     to_si,
 )
-from rydlab.cli import MAX_SAMPLES, build_parser, main
+from rydlab.cli import MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -279,16 +281,29 @@ def test_oversized_grids_are_usage_errors(capsys):
 
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
-    """A q past the budget (l <= q weights) exits 2 before b_s is computed."""
+    """A q past MAX_Q (l <= q weights) exits 2 with nothing written, before
+    b_s is computed."""
     def unreachable(*args):
         raise AssertionError("weights computed for an oversized q")
 
     monkeypatch.setattr("rydlab.cli.prediction_table", unreachable)
-    big = 3 * (MAX_SAMPLES // 3 + 1)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--nbar", "320", "--sigma", "2.5", "--q", "6", "--q", str(big)])
-    assert exc.value.code == 2
-    assert str(MAX_SAMPLES) in capsys.readouterr().err
+    for big in (3 * (MAX_Q // 3 + 1), 3 * (MAX_SAMPLES // 3 + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--nbar", "320", "--sigma", "2.5", "--q", "6", "--q", str(big)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--q must be <= {MAX_Q}" in captured.err
+
+
+def test_largest_q_is_admitted(monkeypatch):
+    """The largest multiple of 3 up to MAX_Q passes the check."""
+    seen = []
+    monkeypatch.setattr("rydlab.cli.prediction_table", lambda spec, qs: seen.extend(qs) or [])
+    largest = 3 * (MAX_Q // 3)
+    assert main(["predict", "--nbar", "320", "--sigma", "2.5", "--q", str(largest),
+                 "--out", os.devnull]) == 0
+    assert seen == [largest]
 
 
 def test_oversized_slice_is_usage_error(monkeypatch, capsys):
@@ -321,8 +336,8 @@ def test_bad_slice_radius_is_usage_error_before_any_output(radius, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_slice_is_usage_error_before_any_output(capsys):
-    """At nbar = 1e200 the state amplitudes overflow; that is a usage error,
-    caught before the header is written."""
+    """At nbar = 1e200 the state amplitudes would overflow; that is a usage
+    error (nbar is past MAX_NBAR), caught before the header is written."""
     with pytest.raises(SystemExit) as exc:
         main(["slice", "--nbar", "1e200", "--sigma", "2.5", "--t", "0",
               "--points", "10", "--radius", "1e5"])
@@ -330,6 +345,29 @@ def test_non_finite_slice_is_usage_error_before_any_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+HUGE_NBAR_COMMANDS = {
+    "predict": ["predict", "--q", "6"],
+    "verify": ["verify", "--q", "6"],
+    "autocorr": ["autocorr", "--tmin", "0", "--tmax", "1e-9", "--samples", "3"],
+    "slice": ["slice", "--t", "0", "--points", "10"],
+}
+
+
+@pytest.mark.parametrize("nbar", ["1e62", "1e200", "1e308"])
+@pytest.mark.parametrize("argv", HUGE_NBAR_COMMANDS.values(), ids=HUGE_NBAR_COMMANDS.keys())
+def test_huge_nbar_is_usage_error_before_any_output(argv, nbar, capsys):
+    """An nbar whose time scales or phase rates would overflow exits 2 with
+    nothing written and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--nbar", nbar, "--sigma", "2.5", *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nbar must be <=" in captured.err
 
 
 # The writers before output was streamed, kept verbatim as the oracle that
@@ -447,6 +485,88 @@ def test_streamed_output_matches_unstreamed_writer(argv, fmt, dest, capsys, tmp_
     monkeypatch.setattr(cli, "CHUNK_ROWS", CHUNK)
     argv = [*argv, "--format", fmt]
     assert command_output(capsys, tmp_path, dest, argv) == unstreamed_output(argv)
+
+
+def percent_csv(values: np.ndarray) -> str:
+    """CSV of a rows x cols array as the writer before vectorised formatting
+    made it: the header, then one '%.11e' % x per field."""
+    row = ",".join(["%.11e"] * values.shape[1]) + "\n"
+    header = ",".join(f"c{j}" for j in range(values.shape[1])) + "\n"
+    return header + (row * len(values)) % tuple(values.ravel().tolist())
+
+
+def vectorised_csv(values: np.ndarray) -> str:
+    """cli._csv of the same array, fed in CHUNK_ROWS chunks per column."""
+    parts = cli._chunks(len(values))
+    columns = {f"c{j}": [column[lo:hi] for lo, hi in parts]
+               for j, column in enumerate(values.T)}
+    return "".join(cli._csv(columns))
+
+
+def assert_same_lines(got: str, want: str):
+    for n, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        assert g == w, f"line {n}"
+    assert got == want
+
+
+def hard_fields() -> np.ndarray:
+    """Fields where the fast digits could go wrong, both signs."""
+    rng = np.random.default_rng(11)
+    m = rng.integers(10**11, 10**12, 300)
+    k = rng.integers(-300, 300, 300)
+    decades = range(-323, 309)
+    values = [
+        # correctly rounded powers of ten, 3-digit exponents included
+        *(float(f"1e{e}") for e in decades),
+        # 9.99999999999(5)e(e) rounds up into the next decade
+        *(float(f"9.99999999999{tail}e{e}") for e in decades for tail in ("", "5", "4999")),
+        # near-ties (m + 1/2) 10^k, and exact ties among 13- to 15-digit integers
+        *(float(f"{a}5e{b - 1}") for a, b in zip(m, k)),
+        *(float(10 * a + 5) for a in m), *(float(100 * a + 50) for a in m[:100]),
+        *(float(1000 * a + 500) for a in m[:100]),
+        # random mantissas over the whole exponent range
+        *(rng.random(300) * 10.0 ** rng.integers(-308, 308, 300)),
+        0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e-280, 1e280, 1.0, 0.5, 123456789012.5,
+    ]
+    values = np.array(values)
+    with np.errstate(over="ignore"):
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, math.inf)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("cols", [3, 4])
+@pytest.mark.parametrize("rows", [1, 7, cli.CHUNK_ROWS + 1])
+def test_csv_fields_match_percent_format_on_hard_cases(rows, cols):
+    """The vectorised '%.11e' is byte for byte the % operator on near-ties,
+    powers of ten, decade roll-overs, 3-digit exponents, zeros, subnormals
+    and non-finite fields, at 1, 7 and CHUNK_ROWS + 1 rows."""
+    values = hard_fields()
+    size = rows * cols
+    blocks = np.resize(values, -(-values.size // size) * size).reshape(-1, rows, cols)
+    assert_same_lines("".join(map(vectorised_csv, blocks)), "".join(map(percent_csv, blocks)))
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_csv_exponent_estimate_may_be_a_decade_off(shift, monkeypatch):
+    """The decimal exponent from log10 is corrected once, so an estimate a
+    decade off either way still gives the '%.11e' bytes."""
+    values = np.resize(hard_fields(), 3 * 2000).reshape(-1, 3)
+    want = percent_csv(values)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    assert_same_lines(vectorised_csv(values), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=28),
+       rows=st.sampled_from([1, 7]), cols=st.sampled_from([3, 4]))
+def test_csv_fields_match_percent_format_on_any_bits(bits, rows, cols):
+    """Any 64-bit pattern viewed as a float64: NaNs, infinities, signed
+    zeros, subnormals and every exponent."""
+    values = np.resize(np.array(bits, np.uint64).view(np.float64), rows * cols)
+    values = values.reshape(rows, cols)
+    assert vectorised_csv(values) == percent_csv(values)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
