@@ -89,11 +89,19 @@ def _rows(block: np.ndarray) -> str:
     e = np.abs(e)
     e[:, -1] += 1000
     slots[..., 4] = _EXPONENT[e]
-    text = slots.view(np.uint8).reshape(*block.shape, 20)
-    for r, c in zip(*np.nonzero(~fast)):
-        field = ("%.11e" % block[r, c]).encode()
-        text[r, c, :-1] = 0
-        text[r, c, :len(field)] = np.frombuffer(field, np.uint8)
+    text = slots.view(np.uint8).reshape(-1, 20)
+    index = np.flatnonzero(~fast)
+    ends = text[index, -1].tobytes()  # each slot's own separator
+    return _join(text, index, (b"%.11e%c" % (x, end)
+                               for x, end in zip(block.ravel()[index].tolist(), ends)))
+
+
+def _join(slots: np.ndarray, index, fields) -> str:
+    """The text of slots, a 2-d uint8 array of NUL-padded ASCII slots, after
+    slot index[n] is replaced by the bytes fields[n]."""
+    for i, field in zip(index, fields):
+        slots[i] = 0
+        slots[i, :len(field)] = np.frombuffer(field, np.uint8)
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -6,9 +6,13 @@ streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
 of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
 weight list b the same way, each chunk written before the next is formed,
 so memory does not grow with the size of the text.  CSV fields are the
-bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat); JSON
-numbers are float.__repr__.  Identical flags produce byte-identical
-output, whatever the chunk size.
+bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so are
+the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
+float.__repr__(x) (rydlab._reprformat); each module is imported on the
+first write that needs it.  `predict` calls float.__repr__ itself: its b
+lists are at most q long, and loading the formatter there would only add
+import time.  Identical flags produce byte-identical output, whatever the
+chunk size.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure, 2 usage error.
 """
@@ -78,17 +82,24 @@ def _csv(columns: dict):
 
 def _json(scalars: dict, columns: dict):
     """json.dumps({**scalars, **columns}, indent=2) + "\n" in pieces, each
-    column an iterable of chunks (arrays of finite floats) streamed in turn."""
+    column an iterable of chunks (arrays of finite floats) streamed in turn,
+    every number the bytes of float.__repr__(x)."""
+    # Imported here, so that commands that write no JSON column neither
+    # compile it nor build its tables.
+    from ._reprformat import json_values
+
     sep = "{\n"
     for key, value in scalars.items():
         yield f"{sep}  {json.dumps(key)}: {json.dumps(value)}"
         sep = ",\n"
     for key, chunks in columns.items():
         yield f"{sep}  {json.dumps(key)}: ["
-        sep = "\n    "
+        # every value comes after ",\n    "; the first one's comma goes
+        first = True
         for chunk in chunks:
-            yield sep + ",\n    ".join(map(float.__repr__, chunk.tolist()))
-            sep = ",\n    "
+            for piece in json_values(chunk):
+                yield piece[1:] if first else piece
+                first = False
         yield "\n  ]"
         sep = ",\n"
     yield "\n}\n"

@@ -24,13 +24,21 @@ ATOMIC_UNIT_OF_TIME = 2.4188843265857e-17
 # scales themselves overflow past ~3.6e61.
 MAX_NBAR = 1e59
 
+# Largest sigma.  gaussian_packet searches 12 sigma either side of nbar
+# (24,001 offsets at the bound) before it trims the window to ~7 sigma, and
+# the kernel holds ~9 kB per kept term even on small grids: a 4096-point
+# slice peaks at 110 MB at sigma = 1e3 and at 820 MB at sigma = 1e4, a
+# 10^4-sample autocorr at 170 MB and 1.3 GB.
+MAX_SIGMA = 1e3
+
 
 @dataclass(frozen=True)
 class AtomSpec:
     """Parameters of a simulated wave packet.
 
     nbar:   central principal quantum number (real, in [1, MAX_NBAR])
-    sigma:  width of the excitation distribution in units of n (> 0)
+    sigma:  width of the excitation distribution in units of n, in
+            (0, MAX_SIGMA]
     defect: quantum defect delta for a single angular-momentum channel (>= 0)
     """
 
@@ -51,6 +59,11 @@ class AtomSpec:
             )
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (self.sigma <= MAX_SIGMA):
+            raise ValueError(
+                f"sigma must be <= {MAX_SIGMA:g}, beyond which the coefficient window "
+                f"outgrows its offset budget; got {self.sigma}"
+            )
         if not (self.defect >= 0.0):
             raise ValueError(f"defect must be >= 0, got {self.defect}")
         if not (self.nbar - self.defect > self.sigma):

@@ -99,19 +99,6 @@ def _as_integer_nbar(nbar) -> int:
     return int(nbar)
 
 
-def _prime_factors(m: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
-
-
 def integer_constants(nbar, q) -> IntegerConstants:
     """The integers (l, N, alpha) controlling the subsidiary-packet sum."""
     nbar = _as_integer_nbar(nbar)
@@ -119,10 +106,14 @@ def integer_constants(nbar, q) -> IntegerConstants:
         raise ValueError(f"nbar must be a positive integer, got {nbar}")
     q = _as_q(q)
     l = q // 3 if q % 9 == 0 else q
-    N = 1
-    for p, mult in _prime_factors(2 * nbar).items():
-        if l % p == 0:
-            N *= p**mult
+    # N is the part of 2*nbar made of primes that divide l: divide out their
+    # common factors until none is left.
+    N, rest = 1, 2 * nbar
+    g = math.gcd(rest, l)
+    while g > 1:
+        N *= g
+        rest //= g
+        g = math.gcd(rest, g)
     return IntegerConstants(l=l, N=N, alpha=(2 * nbar) // N)
 
 

@@ -29,6 +29,7 @@ from rydlab import (
     gaussian_packet,
     to_si,
 )
+from rydlab._reprformat import _FORMAT_VALUES
 from rydlab.cli import MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -370,6 +371,23 @@ def test_huge_nbar_is_usage_error_before_any_output(argv, nbar, capsys):
     assert "nbar must be <=" in captured.err
 
 
+@pytest.mark.parametrize("nbar, sigma", [("1e12", "1e10"), ("1e6", "1001")])
+@pytest.mark.parametrize("argv", HUGE_NBAR_COMMANDS.values(), ids=HUGE_NBAR_COMMANDS.keys())
+def test_huge_sigma_is_usage_error_before_any_output(argv, nbar, sigma, monkeypatch, capsys):
+    """A sigma past MAX_SIGMA exits 2 with nothing written, before the
+    coefficient window is searched (24*sigma offsets)."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("coefficient window built for an oversized sigma")
+
+    monkeypatch.setattr("rydlab.cli.gaussian_packet", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--nbar", nbar, "--sigma", sigma, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma must be <=" in captured.err
+
+
 # The writers before output was streamed, kept verbatim as the oracle that
 # the streamed output is byte-compared against.
 
@@ -567,6 +585,114 @@ def test_csv_fields_match_percent_format_on_any_bits(bits, rows, cols):
     values = np.resize(np.array(bits, np.uint64).view(np.float64), rows * cols)
     values = values.reshape(rows, cols)
     assert vectorised_csv(values) == percent_csv(values)
+
+
+def repr_json(values: np.ndarray) -> str:
+    """A one-column _json as the writer before vectorised formatting made
+    it: float.__repr__ of every value, joined."""
+    return '{\n  "c": [\n    ' + ",\n    ".join(map(float.__repr__, values.tolist())) + "\n  ]\n}\n"
+
+
+def vectorised_json(values: np.ndarray) -> str:
+    """cli._json of the same values, fed in CHUNK_ROWS chunks."""
+    return "".join(cli._json({}, {"c": [values[lo:hi] for lo, hi in cli._chunks(len(values))]}))
+
+
+def hard_json_values() -> np.ndarray:
+    """Values where the shortest digits could go wrong, both signs."""
+    rng = np.random.default_rng(13)
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    decades = range(-323, 309)
+    # doubles next to exact midpoints between doubles that are short
+    # decimals: 2**53 + 1, 2**54 + 2, 1e23 (1e+23 is the edge of its double)
+    midpoints = [2**53 + 1, 2**54 + 2, 2**63 + 2**10, 10**23, 9 * 10**22 + 2**23, 10**22 + 2**20]
+    values = [
+        0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308,
+        *rng.integers(1, 2**52, 50) * 5e-324,  # subnormals
+        *powers_of_two,
+        *(float(m) for m in midpoints), *(float(m) * 0.5**k for m in midpoints for k in (60, 200)),
+        # where the notation switches, and every decade, with 9.99... below it
+        *(float(f"1e{e}") for e in decades),
+        *(float(f"9.99999999999999{tail}e{e}") for e in decades for tail in ("", "9", "95")),
+        1e15, 1e16, 1e-4, 1e-5, 123456789012345.6, 1234567890123456.8, 0.00012345678901234567,
+        # ties between two candidates: y = x*10**(16 - E) a half integer,
+        # with 10**(16 - E) a double (a 2**-12 grid near 1.5e12) or not
+        # (y = odd*5**k/2, k >= 23), and near ties y = M*5**k/2**53 within
+        # r/2**53 of a half integer, closer than the double-double y resolves
+        *(1.5e12 + np.arange(600) / 4096.0),
+        *(odd * 0.5 ** (k + 1) for k in range(23, 33) for odd in range(1, 33, 2)),
+        *((2**52 + r) * pow(5**k, -1, 2**53) % 2**53 * 0.5 ** (53 + k)
+          for k in (23, 24, 30) for r in range(-50, 51)),
+        # short decimals, and random mantissas over the whole exponent range
+        *(round(x, int(n)) for x, n in zip(rng.random(300), rng.integers(1, 17, 300))),
+        *(rng.random(300) * 10.0 ** rng.integers(-308, 308, 300)),
+        1e-280, 1e280, 1.0, 0.5, 0.1, 0.3,
+    ]
+    values = np.array(values)
+    with np.errstate(over="ignore"):
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, math.inf)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("size, chunk", [(1, cli.CHUNK_ROWS), (7, 5), (7, cli.CHUNK_ROWS),
+                                         (_FORMAT_VALUES + 1, 5),
+                                         (_FORMAT_VALUES + 1, cli.CHUNK_ROWS)])
+def test_json_numbers_match_repr_on_hard_cases(size, chunk, monkeypatch):
+    """The vectorised float.__repr__ is byte for byte repr on zeros,
+    subnormals, powers of two, exact midpoints, notation switches, decade
+    roll-overs and ties, at 1, 7 and block + 1 values per column, with
+    chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
+    block's passes, so that case takes every fifth value."""
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    values = hard_json_values()[::5 if size == 1 else 1]
+    blocks = np.resize(values, -(-values.size // size) * size).reshape(-1, size)
+    assert_same_lines("".join(map(vectorised_json, blocks)), "".join(map(repr_json, blocks)))
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_json_exponent_estimate_may_be_a_decade_off(shift, monkeypatch):
+    """The decimal exponent from log10 is corrected once, so an estimate a
+    decade off either way still gives repr's bytes."""
+    values = hard_json_values()
+    want = repr_json(values)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    assert_same_lines(vectorised_json(values), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=28),
+       size=st.sampled_from([1, 7, _FORMAT_VALUES + 1]))
+def test_json_numbers_match_repr_on_any_bits(bits, size):
+    """Any 64-bit pattern viewed as a float64: NaNs, infinities, signed
+    zeros, subnormals and every exponent."""
+    values = np.resize(np.array(bits, np.uint64).view(np.float64), size)
+    assert vectorised_json(values) == repr_json(values)
+
+
+def test_formatters_load_only_where_used():
+    """predict and verify load neither number formatter, and a CSV autocorr
+    not the JSON one, so neither adds to their start-up."""
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    atom = "'--nbar', '48', '--sigma', '1.5', '--out', os.devnull"
+    grid = "'--tmin', '0', '--tmax', '1e-10', '--samples', '10'"
+    code = (
+        "import os, sys\n"
+        "from rydlab.cli import main\n"
+        f"for argv in [['predict', {atom}], ['verify', {atom}],\n"
+        f"             ['autocorr', {atom}, {grid}, '--format', 'csv'],\n"
+        f"             ['autocorr', {atom}, {grid}, '--format', 'json']]:\n"
+        "    main(argv)\n"
+        "    print(' '.join(m for m in ('rydlab._sciformat', 'rydlab._reprformat')\n"
+        "                   if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split("\n") == ["", "", "rydlab._sciformat",
+                                "rydlab._sciformat rydlab._reprformat", ""]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -13,6 +13,7 @@ from rydlab import (
     timescales,
     to_si,
 )
+from rydlab.spectrum import MAX_SIGMA
 
 
 def test_energy_ground_and_first_excited():
@@ -122,6 +123,9 @@ def test_atom_spec_validation():
         AtomSpec(nbar=48, sigma=0.0)
     with pytest.raises(ValueError):
         AtomSpec(nbar=48, sigma=1.5, defect=-0.1)
+    with pytest.raises(ValueError, match="sigma must be <="):
+        AtomSpec(nbar=1e12, sigma=math.nextafter(MAX_SIGMA, math.inf))
+    assert AtomSpec(nbar=1e12, sigma=MAX_SIGMA).sigma == MAX_SIGMA
     with pytest.raises(ValueError):
         AtomSpec(nbar=48, sigma=47.9, defect=0.5)  # distribution reaches n <= 0
     spec = AtomSpec(48, 1.5, 0.35)

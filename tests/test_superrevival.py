@@ -109,6 +109,48 @@ def test_integer_constants_coprimality():
         assert consts.l in (q, q // 3)
 
 
+def trial_division_N(nbar, l):
+    """N as the writer before the gcd loop found it: factor 2*nbar by trial
+    division and keep the full power of each prime that divides l."""
+    N, m, d = 1, 2 * nbar, 2
+    while d * d <= m:
+        power = 1
+        while m % d == 0:
+            power *= d
+            m //= d
+        if l % d == 0:
+            N *= power
+        d += 1 if d == 2 else 2
+    if m > 1 and l % m == 0:
+        N *= m
+    return N
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers=st.tuples(*[st.integers(0, 6)] * 4), cofactor=st.integers(1, 10**6),
+       q=st.integers(1, 400).map(lambda j: 3 * j))
+def test_integer_constants_N_matches_trial_division(powers, cofactor, q):
+    """N from gcds is the trial-division N, for nbar with repeated small
+    primes shared with l and a cofactor that may bring its own."""
+    nbar = math.prod(p**k for p, k in zip((2, 3, 5, 7), powers)) * cofactor
+    consts = integer_constants(nbar, q)
+    assert consts.N == trial_division_N(nbar, consts.l)
+    assert consts.N * consts.alpha == 2 * nbar
+
+
+def test_integer_constants_at_prime_nbar_near_2_53():
+    """A prime nbar near 2**53 costs a few gcds, where factoring 2*nbar by
+    trial division would take ~10^8 steps."""
+    nbar = 9007199254740881  # prime
+    start = time.perf_counter()
+    consts = [integer_constants(nbar, q) for q in (6, 18, 36, 300)]
+    preds = prediction_table(AtomSpec(nbar, 2.5), [6, 12])
+    assert time.perf_counter() - start < 1.0
+    assert [c.N for c in consts] == [2, 2, 2, 2]
+    assert all(c.alpha == nbar for c in consts)
+    assert [p.N for p in preds] == [2, 2]
+
+
 def test_integer_constants_domain_errors():
     with pytest.raises(ValueError):
         integer_constants(320, 5)  # not a multiple of 3
