@@ -11,7 +11,7 @@ verify():                compare measured periodicities in the windows
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class PeakTrain:
 
     times: np.ndarray
     heights: np.ndarray
-    window: tuple[float, float]
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -113,9 +112,8 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation}")
     v = signal.values
-    window = (signal.t0, signal.t_end)
     if v.size < 3 or float(v.max()) <= 0.0:
-        return PeakTrain(np.array([]), np.array([]), window)
+        return PeakTrain(np.array([]), np.array([]))
     level = threshold * float(v.max())
     interior = np.arange(1, v.size - 1)
     is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
@@ -136,7 +134,7 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
         shift = np.where(curv != 0.0, 0.5 * (a - c) / curv, 0.0)
     times = signal.t0 + signal.dt * (k + shift)
     heights = b - 0.25 * (a - c) * shift
-    return PeakTrain(times=times, heights=heights, window=window)
+    return PeakTrain(times=times, heights=heights)
 
 
 def estimate_periodicity(
@@ -163,58 +161,35 @@ def estimate_periodicity(
 def verify(
     predictions: list[SuperrevivalPrediction],
     signal: Signal,
-    half_width: float | None = None,
     threshold: float = DEFAULT_THRESHOLD,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationEntry]:
     """Check each prediction's window of the signal for the predicted comb.
 
-    For every prediction a window time_center +- half_width (default: the
-    revival time implied by the prediction) is searched for peaks; the
-    measured median spacing must match the predicted periodicity within
-    tolerance (relative).  Windows not fully covered by the signal yield
-    status "not evaluated"; windows with fewer than three detected peaks
-    fail.
+    For every prediction the window time_center +- t_rev (the revival time
+    implied by the prediction) is searched for peaks at least
+    DEFAULT_SEPARATION_FACTOR periodicities apart; the measured median
+    spacing must match the predicted periodicity within tolerance
+    (relative).  Windows not fully covered by the signal yield status
+    "not evaluated"; windows with fewer than three detected peaks fail.
     """
     entries = []
     for pred in predictions:
+        entry = VerificationEntry(
+            q=pred.q, predicted=pred.periodicity, measured=None, deviation=None,
+            peak_height=None, n_peaks=0, status="not evaluated",
+        )
         t_rev = pred.periodicity * pred.q / 3.0
-        hw = t_rev if half_width is None else half_width
-        lo, hi = pred.time_center - hw, pred.time_center + hw
-        if lo < signal.t0 - signal.dt or hi > signal.t_end + signal.dt:
-            entries.append(
-                VerificationEntry(
-                    q=pred.q, predicted=pred.periodicity, measured=None,
-                    deviation=None, peak_height=None, n_peaks=0,
-                    status="not evaluated",
-                )
-            )
-            continue
-        train = find_peaks(
-            signal.window(lo, hi), threshold, separation_factor * pred.periodicity
-        )
-        height = float(train.heights.max()) if len(train) else None
-        if len(train) < 3:
-            entries.append(
-                VerificationEntry(
-                    q=pred.q, predicted=pred.periodicity, measured=None,
-                    deviation=None, peak_height=height, n_peaks=len(train),
-                    status="fail",
-                )
-            )
-            continue
-        est = estimate_periodicity(train, predicted_period=pred.periodicity)
-        deviation = abs(est.period - pred.periodicity) / pred.periodicity
-        entries.append(
-            VerificationEntry(
-                q=pred.q,
-                predicted=pred.periodicity,
-                measured=est.period,
-                deviation=deviation,
-                peak_height=height,
-                n_peaks=len(train),
-                status="pass" if deviation <= tolerance else "fail",
-            )
-        )
+        lo, hi = pred.time_center - t_rev, pred.time_center + t_rev
+        if lo >= signal.t0 - signal.dt and hi <= signal.t_end + signal.dt:
+            train = find_peaks(signal.window(lo, hi), threshold,
+                               DEFAULT_SEPARATION_FACTOR * pred.periodicity)
+            height = float(train.heights.max()) if len(train) else None
+            entry = replace(entry, peak_height=height, n_peaks=len(train), status="fail")
+            if len(train) >= 3:
+                est = estimate_periodicity(train, predicted_period=pred.periodicity)
+                deviation = abs(est.offset_from_prediction) / pred.periodicity
+                entry = replace(entry, measured=est.period, deviation=deviation,
+                                status="pass" if deviation <= tolerance else "fail")
+        entries.append(entry)
     return entries

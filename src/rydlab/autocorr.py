@@ -34,7 +34,6 @@ bitwise the same samples as the full run.  |A|^2 takes w_k = p_k.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -128,7 +127,6 @@ class Signal:
         )
 
 
-@functools.lru_cache(maxsize=None)
 def _inverse_periods(nstar: float):
     """Double-double reciprocals of (T_cl, t_rev, t_sr) for a given n*."""
     ns = (nstar, 0.0)
@@ -206,6 +204,15 @@ def _a2_over_times(
 # start at a multiple of it, so a sample's arithmetic never depends on the
 # index range it was requested with (BLAS picks its kernel by shape).
 _GEMM_ROWS = 32
+
+
+def _kernel_bytes(terms: int, count: int) -> int:
+    """Bytes of the U and V tables _amplitude_chunks holds for `terms` terms
+    over a whole count-point grid: K*(R + B) complex values, B = isqrt(count)
+    columns of V and R rows of U, the count/B blocks in whole products."""
+    block = math.isqrt(count)
+    rows = -(-count // (block * _GEMM_ROWS)) * _GEMM_ROWS
+    return terms * (rows + block) * np.dtype(complex).itemsize
 
 
 def _amplitude_chunks(

@@ -14,7 +14,8 @@ lists are at most q long, and loading the formatter there would only add
 import time.  Identical flags produce byte-identical output, whatever the
 chunk size.
 Exit codes: 0 success (also when the reader closes stdout early), 1
-verification failure, 2 usage error.
+verification failure (also a `verify` that evaluates no prediction), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from itertools import chain
 import numpy as np
 
 from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, verify
-from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2, autocorrelation
+from .autocorr import (
+    PhaseModel, TimeGrid, _a2_chunks, _check_a2, _kernel_bytes, autocorrelation,
+)
 from .circular import AngularGrid, angular_slice
 from .packet import gaussian_packet
 from .spectrum import AtomSpec, from_si, timescales, to_si
@@ -57,6 +60,15 @@ MAX_SAMPLES = 10**7
 # at l = 999,993 = 3 x 333,331: 197 MB), so no admitted q needs much more
 # than 200 MB.
 MAX_Q = 10**6
+
+# Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
+# the kernel holds ~2*K*isqrt(N) complex values (autocorr._kernel_bytes), and
+# peaks at ~3x that while it forms them (373 MB peak RSS for 130 MB of tables
+# on a 2-vCPU Xeon), so no admitted request needs much more than 400 MB.  It
+# binds only for wide packets: 37 terms at 10^7 samples hold 3.7 MB, while
+# sigma = 10^3 (14,263 terms at nbar = 10^6) is admitted up to ~8x10^4
+# samples.
+MAX_KERNEL_BYTES = 1 << 27
 
 # Rows evaluated, formatted and written at a time.
 CHUNK_ROWS = 1 << 14
@@ -133,6 +145,18 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
         parser.error(str(exc))
 
 
+def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
+    """Usage error when the kernel tables for coeffs on a count-point grid
+    would pass MAX_KERNEL_BYTES."""
+    size = _kernel_bytes(coeffs.offsets.size, count)
+    if size > MAX_KERNEL_BYTES:
+        parser.error(
+            f"{coeffs.offsets.size} terms on a {count}-point grid need {size} bytes of "
+            f"kernel tables, more than the {MAX_KERNEL_BYTES} byte budget; use smaller "
+            "--sigma or fewer samples"
+        )
+
+
 def _predict_json(head: dict, preds) -> Iterator[str]:
     """json.dumps({**head, "predictions": [p.to_dict() for p in preds]},
     indent=2) + "\n" in pieces, each prediction's b streamed as CHUNK_ROWS
@@ -184,6 +208,7 @@ def cmd_autocorr(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     coeffs = gaussian_packet(spec)
+    _check_kernel(parser, coeffs, grid.count)
     a2 = _a2_chunks(coeffs, PhaseModel(args.model), spec, grid, 0, grid.count, CHUNK_ROWS)
     parts = _chunks(grid.count)
     columns = {
@@ -202,6 +227,7 @@ def cmd_slice(parser, args) -> int:
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
+    _check_kernel(parser, coeffs, grid.count)
     try:
         result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
     except ValueError as exc:
@@ -237,11 +263,13 @@ def cmd_verify(parser, args) -> int:
             f"the {MAX_SAMPLES} sample budget; use larger --q or smaller --nbar"
         )
     coeffs = gaussian_packet(spec)
+    _check_kernel(parser, coeffs, count)
     signal = autocorrelation(coeffs, PhaseModel(args.model), spec,
                              TimeGrid(t0=0.0, dt=dt, count=count))
     entries = verify(preds, signal, threshold=args.threshold,
                      tolerance=args.tolerance)
-    all_pass = all(e.status == "pass" for e in entries if e.status != "not evaluated")
+    judged = [e.status for e in entries if e.status != "not evaluated"]
+    all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {
         "nbar": args.nbar,
         "sigma": args.sigma,

@@ -27,7 +27,6 @@ class CoefficientSet:
     under the default phase convention they are real and nonnegative.
     """
 
-    nbar: float
     offsets: np.ndarray
     weights: np.ndarray
 
@@ -86,7 +85,7 @@ def gaussian_packet(
         keep = np.abs(k) <= half
         k, p = k[keep], p[keep]
     p /= p.sum()
-    return CoefficientSet(nbar=spec.nbar, offsets=k, weights=np.sqrt(p))
+    return CoefficientSet(offsets=k, weights=np.sqrt(p))
 
 
 def pulse_duration(spec: AtomSpec) -> float:

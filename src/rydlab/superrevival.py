@@ -127,6 +127,12 @@ def weights(nbar, q) -> SuperrevivalPrediction:
     rounding.  Because l divides q, the shift term alpha*s*k'/l is a DFT
     kernel, so b is one inverse l-point FFT of the unimodular chirp, read
     at s -> alpha*s mod l: O(l log l).
+
+    Precondition: b is the subsidiary-packet expansion only where the chirp
+    is l-periodic in k', that is for nbar = 0 (mod 4), or nbar = 2 (mod 4)
+    and q even.  Other pairs get weights all the same, but they do not
+    expand the packet: reconstruct at t_sr/q reads 0.85-1.4 there (nbar =
+    321-323, q = 6-21), against <= 4e-13 on the valid pairs.
     """
     nbar = _as_integer_nbar(nbar)
     q = _as_q(q)

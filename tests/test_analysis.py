@@ -202,9 +202,8 @@ def reference_find_peaks(signal: Signal, threshold: float, min_separation: float
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation}")
     v = signal.values
-    window = (signal.t0, signal.t_end)
     if v.size < 3 or float(v.max()) <= 0.0:
-        return PeakTrain(np.array([]), np.array([]), window)
+        return PeakTrain(np.array([]), np.array([]))
     level = threshold * float(v.max())
     interior = np.arange(1, v.size - 1)
     is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
@@ -224,7 +223,7 @@ def reference_find_peaks(signal: Signal, threshold: float, min_separation: float
         shift = 0.5 * (a - c) / curv if curv != 0.0 else 0.0
         times[out] = signal.t0 + signal.dt * (i + shift)
         heights[out] = b - 0.25 * (a - c) * shift
-    return PeakTrain(times=times, heights=heights, window=window)
+    return PeakTrain(times=times, heights=heights)
 
 
 def assert_same_train(got, want):
@@ -232,7 +231,6 @@ def assert_same_train(got, want):
     assert np.array_equal(got.heights, want.heights)
     assert got.times.tobytes() == want.times.tobytes()
     assert got.heights.tobytes() == want.heights.tobytes()
-    assert got.window == want.window
 
 
 @settings(max_examples=300, deadline=None)

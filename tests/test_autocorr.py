@@ -82,7 +82,7 @@ def test_unity_at_t_zero(spec320):
 def test_single_state_packet_is_flat():
     """One populated eigenstate gives a unimodular phase factor: |A|^2 = 1."""
     spec = AtomSpec(100, 1.0)
-    coeffs = CoefficientSet(nbar=100, offsets=np.array([0]), weights=np.array([1.0]))
+    coeffs = CoefficientSet(offsets=np.array([0]), weights=np.array([1.0]))
     grid = TimeGrid(0.0, 1e9, 50)
     for model in PhaseModel:
         sig = autocorrelation(coeffs, model, spec, grid)

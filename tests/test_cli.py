@@ -30,7 +30,7 @@ from rydlab import (
     to_si,
 )
 from rydlab._reprformat import _FORMAT_VALUES
-from rydlab.cli import MAX_Q, MAX_SAMPLES, build_parser, main
+from rydlab.cli import MAX_KERNEL_BYTES, MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -248,6 +248,21 @@ def test_predict_with_integer_defect_matches_hydrogen(capsys):
     assert shifted["predictions"] == hydrogen["predictions"]
 
 
+def test_verify_with_nothing_evaluated_fails(capsys):
+    """t_sr/39 lies within t_rev of t = 0 at nbar = 48, so its window is not
+    evaluated; a run that judged nothing fails, and one more judged q that
+    passes makes the run pass."""
+    argv = ["verify", "--nbar", "48", "--sigma", "1.5", "--q", "39"]
+    rc, record = run_json(capsys, argv)
+    assert rc == 1
+    assert record["result"] == "fail"
+    assert [e["status"] for e in record["entries"]] == ["not evaluated"]
+    rc, record = run_json(capsys, [*argv, "--q", "6"])
+    assert rc == 0
+    assert record["result"] == "pass"
+    assert [e["status"] for e in record["entries"]] == ["not evaluated", "pass"]
+
+
 def test_verify_rejects_bad_detection_flags():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nbar", "48", "--sigma", "1.5", "--threshold", "1.5"])
@@ -386,6 +401,45 @@ def test_huge_sigma_is_usage_error_before_any_output(argv, nbar, sigma, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sigma must be <=" in captured.err
+
+
+# Admitted sizes (sigma = 10^3, up to the 10^7 sample budget) whose kernel
+# tables would pass MAX_KERNEL_BYTES, with the kernel entry each command calls.
+OVERSIZED_KERNEL_COMMANDS = {
+    "autocorr": (["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0",
+                  "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)], "_a2_chunks"),
+    "slice": (["slice", "--nbar", "1e6", "--sigma", "1000", "--t", "0",
+               "--points", str(MAX_SAMPLES)], "angular_slice"),
+    # 9.0e5 samples of 12,034 terms
+    "verify": (["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
+               "autocorrelation"),
+}
+
+
+@pytest.mark.parametrize("argv, kernel", OVERSIZED_KERNEL_COMMANDS.values(),
+                         ids=OVERSIZED_KERNEL_COMMANDS.keys())
+def test_oversized_kernel_is_usage_error_before_the_kernel(argv, kernel, monkeypatch,
+                                                           capsys):
+    """Terms x grid past the kernel budget exits 2 with nothing written,
+    before the kernel runs."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kernel reached for an oversized terms x grid request")
+
+    monkeypatch.setattr(cli, kernel, unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the {MAX_KERNEL_BYTES} byte budget" in captured.err
+
+
+def test_kernel_budget_admits_narrow_packets_at_every_size():
+    """37 terms (nbar = 320, sigma = 2.5) pass the kernel budget at the full
+    sample budget, and sigma = 10^3 passes at a 4096-point slice."""
+    parser = build_parser()
+    cli._check_kernel(parser, gaussian_packet(AtomSpec(320, 2.5)), MAX_SAMPLES)
+    cli._check_kernel(parser, gaussian_packet(AtomSpec(1e6, 1000)), 4096)
 
 
 # The writers before output was streamed, kept verbatim as the oracle that

@@ -88,11 +88,11 @@ def test_pulse_duration_inverse_in_sigma():
 
 def test_coefficient_set_validation():
     with pytest.raises(ValueError):
-        CoefficientSet(nbar=48, offsets=np.array([-1, 1]), weights=np.array([0.6, 0.8]))
+        CoefficientSet(offsets=np.array([-1, 1]), weights=np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
-        CoefficientSet(nbar=48, offsets=np.array([0, 1]), weights=np.array([1.0, 1.0]))
+        CoefficientSet(offsets=np.array([0, 1]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        CoefficientSet(nbar=48, offsets=np.array([], dtype=int), weights=np.array([]))
+        CoefficientSet(offsets=np.array([], dtype=int), weights=np.array([]))
 
 
 def test_weights_are_immutable():

@@ -284,6 +284,19 @@ def test_reconstruction_identity_at_fraction_times():
             assert residual < 1e-9, f"nbar={nbar} q={q}: residual={residual:.2e}"
 
 
+def test_reconstruction_identity_where_the_chirp_is_l_periodic():
+    """The expansion holds to rounding at t = t_sr/q for both classes of
+    pairs whose chirp 3*nbar*k'^2/(4q) - k'^3/q is l-periodic: nbar = 0
+    (mod 4) at every q, and nbar = 2 (mod 4) at even q."""
+    for nbar in (320, 322, 324):
+        spec = AtomSpec(nbar, 2.5)
+        coeffs = gaussian_packet(spec)
+        ts = timescales(spec)
+        for q in range(6, 22, 3 if nbar % 4 == 0 else 6):
+            residual = reconstruct(coeffs, weights(nbar, q), spec, ts.t_sr / q)
+            assert residual <= 1e-12, f"nbar={nbar} q={q}: residual={residual:.2e}"
+
+
 def outer_product_reconstruct(coeffs, prediction, spec, t):
     """Reference: the residual with the superposition as a K x l outer
     product of shift exponentials times b (O(K*l) memory)."""
