@@ -137,6 +137,17 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     return PeakTrain(times=times, heights=heights)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a nonempty float array without NaNs, bitwise: the middle
+    of the sorted values, or (a + b) / 2 of the middle two.  np.median
+    imports numpy.ma on its first call, which costs more than the peaks."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def estimate_periodicity(
     train: PeakTrain, predicted_period: float | None = None
 ) -> PeriodicityEstimate:
@@ -150,12 +161,45 @@ def estimate_periodicity(
             f"periodicity estimation needs >= 3 peaks, got {len(train)}"
         )
     spacings = np.diff(train.times)
-    period = float(np.median(spacings))
-    spread = float(np.median(np.abs(spacings - period)))
+    period = _median(spacings)
+    spread = _median(np.abs(spacings - period))
     offset = None if predicted_period is None else period - predicted_period
     return PeriodicityEstimate(
         period=period, spread=spread, offset_from_prediction=offset
     )
+
+
+def _search_window(pred: SuperrevivalPrediction, t0: float, dt: float, count: int):
+    """The window time_center +- t_rev (the revival time implied by the
+    prediction) that verify searches on the grid t0 + dt*i, 0 <= i < count,
+    as (t_lo, t_hi); None when the grid does not cover it."""
+    t_rev = pred.periodicity * pred.q / 3.0
+    lo, hi = pred.time_center - t_rev, pred.time_center + t_rev
+    if lo >= t0 - dt and hi <= t0 + dt * (count - 1) + dt:
+        return lo, hi
+    return None
+
+
+def _judge(
+    pred: SuperrevivalPrediction, window: Signal | None, threshold: float, tolerance: float
+) -> VerificationEntry:
+    """The entry of one prediction from the samples of its window (see
+    verify); "not evaluated" when window is None."""
+    entry = VerificationEntry(
+        q=pred.q, predicted=pred.periodicity, measured=None, deviation=None,
+        peak_height=None, n_peaks=0, status="not evaluated",
+    )
+    if window is None:
+        return entry
+    train = find_peaks(window, threshold, DEFAULT_SEPARATION_FACTOR * pred.periodicity)
+    height = float(train.heights.max()) if len(train) else None
+    entry = replace(entry, peak_height=height, n_peaks=len(train), status="fail")
+    if len(train) >= 3:
+        est = estimate_periodicity(train, predicted_period=pred.periodicity)
+        deviation = abs(est.offset_from_prediction) / pred.periodicity
+        entry = replace(entry, measured=est.period, deviation=deviation,
+                        status="pass" if deviation <= tolerance else "fail")
+    return entry
 
 
 def verify(
@@ -175,21 +219,7 @@ def verify(
     """
     entries = []
     for pred in predictions:
-        entry = VerificationEntry(
-            q=pred.q, predicted=pred.periodicity, measured=None, deviation=None,
-            peak_height=None, n_peaks=0, status="not evaluated",
-        )
-        t_rev = pred.periodicity * pred.q / 3.0
-        lo, hi = pred.time_center - t_rev, pred.time_center + t_rev
-        if lo >= signal.t0 - signal.dt and hi <= signal.t_end + signal.dt:
-            train = find_peaks(signal.window(lo, hi), threshold,
-                               DEFAULT_SEPARATION_FACTOR * pred.periodicity)
-            height = float(train.heights.max()) if len(train) else None
-            entry = replace(entry, peak_height=height, n_peaks=len(train), status="fail")
-            if len(train) >= 3:
-                est = estimate_periodicity(train, predicted_period=pred.periodicity)
-                deviation = abs(est.offset_from_prediction) / pred.periodicity
-                entry = replace(entry, measured=est.period, deviation=deviation,
-                                status="pass" if deviation <= tolerance else "fail")
-        entries.append(entry)
+        span = _search_window(pred, signal.t0, signal.dt, signal.values.size)
+        window = None if span is None else signal.window(*span)
+        entries.append(_judge(pred, window, threshold, tolerance))
     return entries

@@ -118,13 +118,20 @@ class Signal:
 
     def window(self, t_lo: float, t_hi: float) -> "Signal":
         """Sub-signal covering [t_lo, t_hi]; raises if no samples fall inside."""
-        i0 = max(0, int(math.ceil((t_lo - self.t0) / self.dt)))
-        i1 = min(self.values.size - 1, int(math.floor((t_hi - self.t0) / self.dt)))
-        if i1 < i0:
-            raise ValueError("window contains no samples")
+        i0, i1 = _window_indices(self.t0, self.dt, self.values.size, t_lo, t_hi)
         return Signal(
             t0=self.t0 + self.dt * i0, dt=self.dt, values=self.values[i0 : i1 + 1]
         )
+
+
+def _window_indices(t0: float, dt: float, count: int, t_lo: float, t_hi: float):
+    """First and last index i of the grid t0 + dt*i, 0 <= i < count, inside
+    [t_lo, t_hi], as Signal.window selects them; raises if there is none."""
+    i0 = max(0, int(math.ceil((t_lo - t0) / dt)))
+    i1 = min(count - 1, int(math.floor((t_hi - t0) / dt)))
+    if i1 < i0:
+        raise ValueError("window contains no samples")
+    return i0, i1
 
 
 def _inverse_periods(nstar: float):
@@ -188,31 +195,29 @@ def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
     return _cycles_at(rate, np.asarray(t, dtype=float))
 
 
-def _a2_over_times(
-    coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, times: np.ndarray
-) -> np.ndarray:
-    """|A|^2 at arbitrary times, one term at a time; independent per time
-    point.  The reference the grid kernel is tested against."""
-    hi, lo = _cycle_rates(model, spec.nstar, coeffs.offsets)
-    amp = np.zeros(times.shape, dtype=np.complex128)
-    for p, rate in zip(coeffs.probabilities, zip(hi, lo)):
-        amp += p * np.exp(-2j * np.pi * _cycles_at(rate, times))
-    return np.abs(amp) ** 2
-
-
 # Rows of U per matrix product.  Products always have this many rows and
 # start at a multiple of it, so a sample's arithmetic never depends on the
 # index range it was requested with (BLAS picks its kernel by shape).
 _GEMM_ROWS = 32
 
 
-def _kernel_bytes(terms: int, count: int) -> int:
-    """Bytes of the U and V tables _amplitude_chunks holds for `terms` terms
-    over a whole count-point grid: K*(R + B) complex values, B = isqrt(count)
-    columns of V and R rows of U, the count/B blocks in whole products."""
+def _u_rows(count: int, start: int, stop: int) -> tuple[int, int, int]:
+    """(B, j0, j1): B = isqrt(count) columns of V, and the rows [j0, j1) of
+    U that _amplitude_chunks forms for [start, stop), the blocks of B
+    samples touching the range, widened to whole groups of _GEMM_ROWS."""
     block = math.isqrt(count)
-    rows = -(-count // (block * _GEMM_ROWS)) * _GEMM_ROWS
-    return terms * (rows + block) * np.dtype(complex).itemsize
+    j0 = start // block // _GEMM_ROWS * _GEMM_ROWS
+    j1 = -(-((stop - 1) // block + 1) // _GEMM_ROWS) * _GEMM_ROWS
+    return block, j0, j1
+
+
+def _kernel_bytes(terms: int, count: int, start: int = 0, stop: int | None = None) -> int:
+    """Bytes of the tables _amplitude_chunks holds for `terms` terms over
+    [start, stop) (default the whole grid) of a count-point grid: the rows
+    of U and the B columns of V, K*(rows + B) complex values, plus one
+    product of _GEMM_ROWS rows, _GEMM_ROWS*B more."""
+    block, j0, j1 = _u_rows(count, start, count if stop is None else stop)
+    return (terms * (j1 - j0 + block) + _GEMM_ROWS * block) * np.dtype(complex).itemsize
 
 
 def _amplitude_chunks(
@@ -238,11 +243,8 @@ def _amplitude_chunks(
     """
     if not 0 <= start < stop <= count:
         raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
-    block = math.isqrt(count)
+    block, j0, j1 = _u_rows(count, start, stop)
     per_sample = dd.dd_mul_f(rate, dx)
-    # Rows of U: the blocks touching [start, stop), widened to whole groups.
-    j0 = start // block // _GEMM_ROWS * _GEMM_ROWS
-    j1 = -(-((stop - 1) // block + 1) // _GEMM_ROWS) * _GEMM_ROWS
     j = np.arange(j0, j1, dtype=float)[:, None]
     row_cycles = dd.dd_frac(dd.dd_add(
         dd.dd_mul_f(rate, x0), dd.dd_mul_f(dd.dd_mul_f(per_sample, float(block)), j)

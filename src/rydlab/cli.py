@@ -12,7 +12,12 @@ float.__repr__(x) (rydlab._reprformat); each module is imported on the
 first write that needs it.  `predict` calls float.__repr__ itself: its b
 lists are at most q long, and loading the formatter there would only add
 import time.  Identical flags produce byte-identical output, whatever the
-chunk size.
+chunk size.  `verify` evaluates only the windows t_sr/q +- t_rev it
+searches, each bitwise as on the whole grid from t = 0.
+The process entry (`rydlab`, `python -m rydlab.cli`) is run(): it freezes
+the heap the imports built (gc.freeze) before the command, so neither the
+collector nor interpreter teardown walks it again; main() called
+in-process freezes nothing.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (also a `verify` that evaluates no prediction), 2
 usage error.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -32,9 +38,9 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, verify
+from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, _judge, _search_window
 from .autocorr import (
-    PhaseModel, TimeGrid, _a2_chunks, _check_a2, _kernel_bytes, autocorrelation,
+    PhaseModel, Signal, TimeGrid, _a2_chunks, _check_a2, _kernel_bytes, _window_indices,
 )
 from .circular import AngularGrid, angular_slice
 from .packet import gaussian_packet
@@ -50,10 +56,15 @@ DEFAULT_VERIFY_Q = (12, 6)
 SAMPLES_PER_CLASSICAL_PERIOD = 20
 
 # Largest size a command evaluates: |A|^2 samples and slice points.
-# `autocorr` streams its text, but `verify` holds the whole signal and its
-# peak search and `slice` the whole Psi(phi); larger sizes are usage errors
+# `autocorr` streams its text, but `verify` holds one window's samples and
+# its peak search (~27*nbar samples at 20 per Kepler period, whatever the
+# grid) and `slice` the whole Psi(phi); larger sizes are usage errors
 # rather than a MemoryError halfway through.
 MAX_SAMPLES = 10**7
+
+# Largest grid `verify` indexes: sample indices and grid times stay exact
+# in double arithmetic below 2^53.
+MAX_GRID_INDEX = 2**53
 
 # Largest --q.  A prediction holds l <= q weights, and their inverse FFT
 # peaks at ~176 bytes per weight when l has a large prime factor (measured
@@ -62,12 +73,14 @@ MAX_SAMPLES = 10**7
 MAX_Q = 10**6
 
 # Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
-# the kernel holds ~2*K*isqrt(N) complex values (autocorr._kernel_bytes), and
-# peaks at ~3x that while it forms them (373 MB peak RSS for 130 MB of tables
-# on a 2-vCPU Xeon), so no admitted request needs much more than 400 MB.  It
-# binds only for wide packets: 37 terms at 10^7 samples hold 3.7 MB, while
-# sigma = 10^3 (14,263 terms at nbar = 10^6) is admitted up to ~8x10^4
-# samples.
+# the kernel holds ~(2*K + 32)*isqrt(N) complex values (autocorr._kernel_bytes;
+# for `verify`, K*isqrt(N) plus the rows of one window), and peaks at ~3x
+# that while it forms them (373 MB peak RSS for 130 MB of tables on a 2-vCPU
+# Xeon), so no admitted request needs much more than 400 MB.  It binds for
+# wide packets, and for `verify` at large nbar (isqrt(N) grows as nbar): 37
+# terms at 10^7 samples hold 5.4 MB, sigma = 10^3 (14,263 terms at
+# nbar = 10^6) is admitted up to ~8x10^4 samples, and `verify` at
+# sigma = 2.5 and q = 3 up to nbar ~ 7x10^4.
 MAX_KERNEL_BYTES = 1 << 27
 
 # Rows evaluated, formatted and written at a time.
@@ -145,15 +158,16 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
         parser.error(str(exc))
 
 
-def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
-    """Usage error when the kernel tables for coeffs on a count-point grid
-    would pass MAX_KERNEL_BYTES."""
-    size = _kernel_bytes(coeffs.offsets.size, count)
+def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int,
+                  start: int = 0, stop: int | None = None) -> None:
+    """Usage error when the kernel tables for coeffs over [start, stop)
+    (default all) of a count-point grid would pass MAX_KERNEL_BYTES."""
+    size = _kernel_bytes(coeffs.offsets.size, count, start, stop)
     if size > MAX_KERNEL_BYTES:
         parser.error(
             f"{coeffs.offsets.size} terms on a {count}-point grid need {size} bytes of "
             f"kernel tables, more than the {MAX_KERNEL_BYTES} byte budget; use smaller "
-            "--sigma or fewer samples"
+            "--sigma, --nbar or fewer samples"
         )
 
 
@@ -254,20 +268,42 @@ def cmd_verify(parser, args) -> int:
         parser.error(f"--tolerance must be > 0, got {args.tolerance}")
     preds = _predictions(parser, args, spec)
     scales = timescales(spec)
+    # The grid runs from t = 0 to the last window; only the windows are
+    # evaluated, each bitwise as a run over the whole grid would give it.
     t_end = max(p.time_center for p in preds) + scales.t_rev
     dt = scales.t_cl / SAMPLES_PER_CLASSICAL_PERIOD
     count = int(math.ceil(t_end / dt)) + 2
-    if count > MAX_SAMPLES:
+    if count > MAX_GRID_INDEX:
         parser.error(
-            f"verify would need {count} samples to reach t_sr/{preds[-1].q}, more than "
-            f"the {MAX_SAMPLES} sample budget; use larger --q or smaller --nbar"
+            f"verify would index {count} samples to reach t_sr/{preds[-1].q}, more than "
+            f"{MAX_GRID_INDEX}; use larger --q or smaller --nbar"
         )
+    grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
-    _check_kernel(parser, coeffs, count)
-    signal = autocorrelation(coeffs, PhaseModel(args.model), spec,
-                             TimeGrid(t0=0.0, dt=dt, count=count))
-    entries = verify(preds, signal, threshold=args.threshold,
-                     tolerance=args.tolerance)
+    ranges = []  # per prediction, the index range [start, stop) of its window
+    for pred in preds:
+        span = _search_window(pred, grid.t0, grid.dt, grid.count)
+        if span is None:
+            ranges.append(None)
+            continue
+        first, last = _window_indices(grid.t0, grid.dt, grid.count, *span)
+        if last + 1 - first > MAX_SAMPLES:
+            parser.error(
+                f"verify would hold {last + 1 - first} samples in the window at "
+                f"t_sr/{pred.q}, more than the {MAX_SAMPLES} sample budget; use "
+                "smaller --nbar"
+            )
+        _check_kernel(parser, coeffs, grid.count, first, last + 1)
+        ranges.append((first, last + 1))
+    model = PhaseModel(args.model)
+    entries = []
+    for pred, window_range in zip(preds, ranges):
+        window = None
+        if window_range is not None:
+            start, stop = window_range
+            values = next(_a2_chunks(coeffs, model, spec, grid, start, stop, stop - start))
+            window = Signal(t0=grid.t0 + grid.dt * start, dt=grid.dt, values=values)
+        entries.append(_judge(pred, window, args.threshold, args.tolerance))
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {
@@ -360,5 +396,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry (`rydlab`, `python -m rydlab.cli`): freeze the heap
+    built by the imports, so the collector never walks it again, not even at
+    exit, then exit with main()'s code.  main() itself freezes nothing, so
+    calling it in-process leaves the caller's collector as it was."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference packets and their simulated signals."""
+"""Shared fixtures: the two reference packets and their simulated signals,
+plus the arbitrary-times |A|^2 reference."""
 
 import math
 
@@ -15,6 +16,7 @@ from rydlab import (
     gaussian_packet,
     timescales,
 )
+from rydlab.autocorr import _cycle_rates, _cycles_at
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +54,15 @@ def circular_distance(a: float, b: float, period: float = 2.0 * np.pi) -> float:
     """Distance between two angles on a circle of the given period."""
     d = math.fmod(abs(a - b), period)
     return min(d, period - d)
+
+
+def a2_over_times(
+    coeffs, model: PhaseModel, spec: AtomSpec, times: np.ndarray
+) -> np.ndarray:
+    """|A|^2 at arbitrary times, one term at a time; independent per time
+    point.  The reference the grid kernel is tested against."""
+    hi, lo = _cycle_rates(model, spec.nstar, coeffs.offsets)
+    amp = np.zeros(times.shape, dtype=np.complex128)
+    for p, rate in zip(coeffs.probabilities, zip(hi, lo)):
+        amp += p * np.exp(-2j * np.pi * _cycles_at(rate, times))
+    return np.abs(amp) ** 2

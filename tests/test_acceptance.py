@@ -26,10 +26,9 @@ from rydlab import (
     verify,
     weights,
 )
-from rydlab.autocorr import _a2_over_times
 from rydlab.circular import AngularGrid, angular_slice, resemblance
 
-from conftest import simulate
+from conftest import a2_over_times, simulate
 
 REFERENCE_Q = (36, 18, 12, 9, 6)
 
@@ -232,7 +231,7 @@ def test_criterion_8d_truncation_insensitivity():
         wide = gaussian_packet(spec, window_sigmas=7.0)
         stride = max(1, base.values.size // 20000)
         times = base.times[::stride]
-        a2_wide = _a2_over_times(wide, PhaseModel.EXACT, spec, times)
+        a2_wide = a2_over_times(wide, PhaseModel.EXACT, spec, times)
         delta = float(np.max(np.abs(a2_wide - base.values[::stride])))
         details.append(f"nbar={nbar}: {delta:.2e}")
         worst = max(worst, delta)

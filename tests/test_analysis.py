@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rydlab import (
     AtomSpec,
@@ -19,6 +20,7 @@ from rydlab import (
     to_si,
     verify,
 )
+from rydlab.analysis import _median
 
 
 def comb_signal(spacing, n_peaks, dt=0.05, width=0.4, amplitudes=None, noise=0.0, seed=0):
@@ -156,6 +158,24 @@ def test_verification_generalizes_beyond_reference_packets():
     entries = verify(prediction_table(spec, (12, 6)), signal)
     assert all(e.status == "pass" for e in entries)
     assert all(e.deviation < 0.05 for e in entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=arrays(np.float64, st.integers(1, 2000),
+                     elements=st.floats(min_value=0.0, allow_infinity=False)))
+@example(values=np.array([2.0, 1.0]))
+@example(values=np.array([1.0, 3.0, 3.0, 1.0]))
+@example(values=np.full(7, 0.5))
+@example(values=np.array([np.finfo(float).max] * 2))
+def test_median_matches_numpy_bitwise(values):
+    """The median of estimate_periodicity is np.median bit for bit on the
+    finite, non-negative values it sees (spacings and their deviations):
+    odd and even lengths up to 2000, ties (hypothesis fills large arrays
+    with repeats) and sums that overflow."""
+    with np.errstate(over="ignore"):
+        want = np.float64(np.median(values))
+        got = _median(values)
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_verify_uncovered_windows_not_evaluated(spec48, signal48):

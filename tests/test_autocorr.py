@@ -20,12 +20,10 @@ from rydlab import (
     gaussian_packet,
     timescales,
 )
-from rydlab.autocorr import (
-    _a2_chunks, _a2_over_times, _amplitude_chunks, _cycle_rates, phase_cycles,
-)
+from rydlab.autocorr import _a2_chunks, _amplitude_chunks, _cycle_rates, phase_cycles
 from rydlab.spectrum import MAX_NBAR
 
-from conftest import circular_distance
+from conftest import a2_over_times, circular_distance
 
 
 def naive_autocorrelation(coeffs, spec, times):
@@ -139,7 +137,7 @@ def test_order1_model_is_simple_harmonic(spec320):
     """Equally spaced energies: the packet rephases completely every T_cl."""
     ts = timescales(spec320)
     coeffs = gaussian_packet(spec320)
-    returns = _a2_over_times(
+    returns = a2_over_times(
         coeffs, PhaseModel.ORDER1, spec320, ts.t_cl * np.arange(1.0, 2000.0, 37.0)
     )
     assert float(np.min(returns)) > 1.0 - 1e-9
@@ -228,8 +226,8 @@ def test_truncation_window_insensitivity(spec48, spec320, signal48, signal320):
         wide = gaussian_packet(spec, window_sigmas=7.0)
         stride = max(1, sig.values.size // 20000)
         times = sig.times[::stride]
-        a2_base = _a2_over_times(base, PhaseModel.EXACT, spec, times)
-        a2_wide = _a2_over_times(wide, PhaseModel.EXACT, spec, times)
+        a2_base = a2_over_times(base, PhaseModel.EXACT, spec, times)
+        a2_wide = a2_over_times(wide, PhaseModel.EXACT, spec, times)
         delta = float(np.max(np.abs(a2_wide - a2_base)))
         assert delta < bound, f"nbar={spec.nbar}: truncation delta {delta:.3e}"
 
@@ -248,13 +246,13 @@ def test_partition_determinism(spec48):
     """Evaluating disjoint index ranges reproduces the full run bitwise."""
     coeffs = gaussian_packet(spec48)
     grid = TimeGrid(0.0, timescales(spec48).t_cl / 20.0, 5000)
-    full = _a2_over_times(coeffs, PhaseModel.EXACT, spec48, grid.times)
+    full = a2_over_times(coeffs, PhaseModel.EXACT, spec48, grid.times)
     parts = [
-        _a2_over_times(coeffs, PhaseModel.EXACT, spec48, chunk)
+        a2_over_times(coeffs, PhaseModel.EXACT, spec48, chunk)
         for chunk in np.array_split(grid.times, 7)
     ]
     assert np.array_equal(np.concatenate(parts), full)
-    again = _a2_over_times(coeffs, PhaseModel.EXACT, spec48, grid.times)
+    again = a2_over_times(coeffs, PhaseModel.EXACT, spec48, grid.times)
     assert np.array_equal(again, full)
 
 
@@ -351,7 +349,7 @@ def test_grid_kernel_close_to_rounded_time_reference(model, late_grid_640):
     |A|^2 by far less than 1e-10 (the times differ by ~1e-3 a.u.)."""
     spec, coeffs, grid = late_grid_640
     values = autocorrelation(coeffs, model, spec, grid).values
-    reference = _a2_over_times(coeffs, model, spec, grid.times)
+    reference = a2_over_times(coeffs, model, spec, grid.times)
     assert float(np.max(np.abs(values - reference))) < 1e-10
 
 

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import gc
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from rydlab import (
     autocorrelation,
     from_si,
     gaussian_packet,
+    timescales,
     to_si,
 )
 from rydlab._reprformat import _FORMAT_VALUES
@@ -288,11 +290,83 @@ def test_oversized_grids_are_usage_errors(capsys):
               "--tmax", "1e-6", "--samples", "1000000000000"])
     assert exc.value.code == 2
     assert str(MAX_SAMPLES) in capsys.readouterr().err
-    # t_sr/3 at nbar = 2000 is n^2/6 Kepler periods: 1.3e7 samples
+    # a window t_sr/q +- t_rev holds ~27*nbar samples: 2.7e7 at nbar = 10^6
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--nbar", "2000", "--sigma", "5", "--q", "3"])
+        main(["verify", "--nbar", "1e6", "--sigma", "1.5", "--q", "6"])
     assert exc.value.code == 2
     assert str(MAX_SAMPLES) in capsys.readouterr().err
+    # t_sr/6 at nbar = 10^8 is 1.7e16 grid samples from t = 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nbar", "1e8", "--sigma", "1.5", "--q", "6"])
+    assert exc.value.code == 2
+    assert str(cli.MAX_GRID_INDEX) in capsys.readouterr().err
+
+
+def test_verify_beyond_the_full_grid_budget(capsys):
+    """t_sr/3 at nbar = 2000 is 1.3e7 grid samples from t = 0, more than
+    MAX_SAMPLES, but verify evaluates only the window around it."""
+    argv = ["verify", "--nbar", "2000", "--sigma", "5", "--q", "3"]
+    args = build_parser().parse_args(argv)
+    assert full_grid_count(args) > MAX_SAMPLES
+    rc, record = run_json(capsys, argv)
+    assert [e["status"] for e in record["entries"]] == [record["result"]]
+    assert rc == (0 if record["result"] == "pass" else 1)
+    assert record["entries"][0]["n_peaks"] >= 3
+
+
+def full_grid_count(args) -> int:
+    """Samples of the verify grid, [0, t_sr/q_min + t_rev] at
+    SAMPLES_PER_CLASSICAL_PERIOD per Kepler period."""
+    spec = AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
+    scales = timescales(spec)
+    qs = args.q or cli.DEFAULT_VERIFY_Q
+    t_end = max(p.time_center for p in rydlab.prediction_table(spec, qs)) + scales.t_rev
+    return int(math.ceil(t_end / (scales.t_cl / cli.SAMPLES_PER_CLASSICAL_PERIOD))) + 2
+
+
+def full_grid_verify(argv, signals: dict) -> tuple[int, bytes]:
+    """Exit code and output of `verify` as it ran before it evaluated only its
+    windows: |A|^2 over the whole grid, then analysis.verify on it.  Signals
+    are kept in `signals` by grid, for the next q list."""
+    args = build_parser().parse_args(argv)
+    spec = AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
+    preds = rydlab.prediction_table(spec, args.q or cli.DEFAULT_VERIFY_Q)
+    count = full_grid_count(args)
+    if count not in signals:
+        grid = TimeGrid(0.0, timescales(spec).t_cl / cli.SAMPLES_PER_CLASSICAL_PERIOD, count)
+        signals[count] = autocorrelation(gaussian_packet(spec), PhaseModel(args.model),
+                                         spec, grid)
+    entries = rydlab.verify(preds, signals[count], threshold=args.threshold,
+                            tolerance=args.tolerance)
+    judged = [e.status for e in entries if e.status != "not evaluated"]
+    all_pass = bool(judged) and all(status == "pass" for status in judged)
+    record = {
+        "nbar": args.nbar,
+        "sigma": args.sigma,
+        "defect": args.defect,
+        "tolerance": args.tolerance,
+        "result": "pass" if all_pass else "fail",
+        "entries": [e.to_dict() for e in entries],
+    }
+    return (0 if all_pass else 1), (json.dumps(record, indent=2) + "\n").encode()
+
+
+VERIFY_Q_LISTS = (["--q", "36", "--q", "18", "--q", "12", "--q", "9", "--q", "6"],
+                  [], ["--q", "39", "--q", "6"])
+
+
+@pytest.mark.parametrize("model", [m.value for m in PhaseModel])
+@pytest.mark.parametrize("nbar", [48, 320, 321, 322, 640, 1000])
+def test_verify_windows_match_the_full_grid(nbar, model, capsys):
+    """Byte for byte and exit code for exit code, the windows alone give the
+    verdicts of the whole grid: passes, fails, and the window of q = 39 at
+    nbar = 48, which starts before t = 0 and stays "not evaluated"."""
+    signals = {}
+    for qs in VERIFY_Q_LISTS:
+        argv = ["verify", "--nbar", str(nbar), "--sigma", "1.5" if nbar == 48 else "2.5",
+                "--model", model, *qs]
+        rc = main(argv)
+        assert (rc, capsys.readouterr().out.encode()) == full_grid_verify(argv, signals)
 
 
 @pytest.mark.parametrize("command", ["predict", "verify"])
@@ -410,9 +484,9 @@ OVERSIZED_KERNEL_COMMANDS = {
                   "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)], "_a2_chunks"),
     "slice": (["slice", "--nbar", "1e6", "--sigma", "1000", "--t", "0",
                "--points", str(MAX_SAMPLES)], "angular_slice"),
-    # 9.0e5 samples of 12,034 terms
+    # 12,034 terms on a 9.0e5-sample grid: 948 columns of V
     "verify": (["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
-               "autocorrelation"),
+               "_a2_chunks"),
 }
 
 
@@ -727,7 +801,9 @@ def test_json_numbers_match_repr_on_any_bits(bits, size):
 
 def test_formatters_load_only_where_used():
     """predict and verify load neither number formatter, and a CSV autocorr
-    not the JSON one, so neither adds to their start-up."""
+    not the JSON one, so neither adds to their start-up.  No command loads
+    numpy.ma (np.median imports it on first use) beyond what a bare
+    `import numpy` loads (numpy 1.24 imports it eagerly)."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -735,13 +811,16 @@ def test_formatters_load_only_where_used():
     grid = "'--tmin', '0', '--tmax', '1e-10', '--samples', '10'"
     code = (
         "import os, sys\n"
+        "import numpy\n"
+        "bare = set(sys.modules)\n"
         "from rydlab.cli import main\n"
         f"for argv in [['predict', {atom}], ['verify', {atom}],\n"
         f"             ['autocorr', {atom}, {grid}, '--format', 'csv'],\n"
         f"             ['autocorr', {atom}, {grid}, '--format', 'json']]:\n"
         "    main(argv)\n"
-        "    print(' '.join(m for m in ('rydlab._sciformat', 'rydlab._reprformat')\n"
-        "                   if m in sys.modules))\n"
+        "    print(' '.join(m for m in ('rydlab._sciformat', 'rydlab._reprformat',\n"
+        "                               'numpy.ma')\n"
+        "                   if m in sys.modules and m not in bare))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
@@ -785,6 +864,52 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_process_entry_freezes_the_heap_and_main_does_not(tmp_path):
+    """`python -m rydlab.cli` freezes the import-time heap before it runs the
+    command (its atexit hooks see a nonzero gc.get_freeze_count()), while
+    main() called in-process leaves the caller's collector alone."""
+    before = gc.get_freeze_count()
+    assert main(["predict", *ATOM_48, "--q", "6", "--out", os.devnull]) == 0
+    assert gc.get_freeze_count() == before
+    # a sitecustomize on the child's path registers the hook before -m runs
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+    )
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rydlab.cli", "predict", *ATOM_48, "--q", "6",
+         "--out", os.devnull],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    word, count = proc.stderr.split()
+    assert word == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["autocorr", "--nbar", "320", "--sigma", "2.5", "--tmin", "0", "--tmax", "45e-6",
+     "--samples", "100000"],
+    ["slice", "--nbar", "320", "--sigma", "2.5", "--t", "42.48e-6", "--points", "100000"],
+], ids=["autocorr", "slice"])
+def test_output_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
+    """The same bytes with one and two OpenBLAS threads, at a size whose
+    32-row kernel products are large enough to be split over threads: the
+    byte identity for identical flags holds across hosts."""
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        path = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-m", "rydlab.cli", *argv, "--out", str(path)],
+                       env=env, check=True, timeout=120)
+        outputs.append(path.read_bytes())
+    assert len(outputs[0]) > 100000
+    assert outputs[0] == outputs[1]
 
 
 def unstreamed_predict(argv):
