@@ -39,8 +39,11 @@ import numpy as np
 from ._ddmath import two_prod
 from ._sciformat import _DIGITS, _POWER, _POWERS, _join
 
-# Values formatted at once, so that the temporaries stay small.
-_FORMAT_VALUES = 2048
+# Values formatted at once.  On the 6x10^5 numbers of a 2x10^5-row JSON
+# autocorr, 4096 formats in ~14% less time than 2048 (2-vCPU Xeon) for
+# 0.9 MB more peak RSS (33.0 MB); 8192 saves a little more time but peaks
+# at 34.5 MB, next to the ~35 MB of a 2x10^5-point slice.
+_FORMAT_VALUES = 4096
 
 # A slot holds the separator in bytes 2-7, the sign in byte 8, "0.000" in
 # bytes 10-14, the digits and the decimal point from byte _FIRST = 15 to

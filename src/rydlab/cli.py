@@ -74,9 +74,9 @@ MAX_Q = 10**6
 
 # Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
 # the kernel holds ~(2*K + 32)*isqrt(N) complex values (autocorr._kernel_bytes;
-# for `verify`, K*isqrt(N) plus the rows of one window), and peaks at ~3x
-# that while it forms them (373 MB peak RSS for 130 MB of tables on a 2-vCPU
-# Xeon), so no admitted request needs much more than 400 MB.  It binds for
+# for `verify`, K*isqrt(N) plus the rows of one window), and forms them in
+# cache-sized tiles (158 MB peak RSS for 130 MB of tables on a 2-vCPU Xeon),
+# so no admitted request needs much more than 160 MB.  It binds for
 # wide packets, and for `verify` at large nbar (isqrt(N) grows as nbar): 37
 # terms at 10^7 samples hold 5.4 MB, sigma = 10^3 (14,263 terms at
 # nbar = 10^6) is admitted up to ~8x10^4 samples, and `verify` at

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,17 +11,22 @@ import numpy as np
 import pytest
 
 from rydlab import (
+    AngularGrid,
     AtomSpec,
     CoefficientSet,
     PhaseModel,
     Signal,
     TimeGrid,
+    angular_slice,
     autocorrelation,
     from_si,
     gaussian_packet,
     timescales,
 )
-from rydlab.autocorr import _a2_chunks, _amplitude_chunks, _cycle_rates, phase_cycles
+from rydlab import autocorr
+from rydlab.autocorr import (
+    _a2_chunks, _amplitude_chunks, _cycle_rates, _kernel_bytes, phase_cycles,
+)
 from rydlab.spectrum import MAX_NBAR
 
 from conftest import a2_over_times, circular_distance
@@ -334,6 +340,53 @@ def test_chunk_sizes_reproduce_full_grid_bitwise(kernel, size, late_grid_640):
     assert np.array_equal(np.concatenate(chunks), full)
     sub = kernel_chunks(kernel, coeffs, model, spec, grid, 131, 12_000, size)
     assert np.array_equal(np.concatenate(list(sub)), full[131:12_000])
+
+
+def kernel_outputs(coeffs, spec, grid):
+    """|A|^2 under every phase model over grid, then a ring slice (as
+    floats): every caller of the amplitude kernel."""
+    ring = AngularGrid(0.1, 2.0 * math.pi / 3001, 3001)
+    psi = angular_slice(coeffs, spec, grid.t0, ring).values
+    a2 = [next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
+          for model in PhaseModel]
+    return np.concatenate(a2 + [psi.view(float)])
+
+
+@pytest.mark.parametrize("entries", [1, 97, autocorr._FORM_ENTRIES, 1 << 40])
+def test_formation_tile_size_cannot_change_a_bit(entries, late_grid_640, monkeypatch):
+    """U and V formed one entry at a time, in tiles of 97 entries (which
+    divide neither K = 51 nor B = 130, nor the slice's B = 54), by default,
+    or in one tile per table give bitwise the same samples."""
+    spec, coeffs, grid = late_grid_640
+    monkeypatch.setattr(autocorr, "_FORM_ENTRIES", 1 << 40)
+    single_shot = kernel_outputs(coeffs, spec, grid)
+    monkeypatch.setattr(autocorr, "_FORM_ENTRIES", entries)
+    assert np.array_equal(kernel_outputs(coeffs, spec, grid), single_shot)
+
+
+@pytest.mark.parametrize("evaluate", ["autocorrelation", "angular_slice"])
+def test_formation_memory_stays_near_the_tables(evaluate):
+    """At sigma = 1e3 (14,263 terms, 29 MB of tables on a 4096-point grid)
+    the traced peak stays within 1.25x the tables plus the output; forming
+    the tables as whole arrays peaked at 2.7x."""
+    spec = AtomSpec(1e6, 1e3)
+    coeffs = gaussian_packet(spec)
+    count = 4096
+    tables = _kernel_bytes(coeffs.offsets.size, count)
+    assert coeffs.offsets.size == 14_263 and tables > 25e6
+    ts = timescales(spec)
+    tracemalloc.start()
+    try:
+        if evaluate == "autocorrelation":
+            values = autocorrelation(coeffs, PhaseModel.EXACT, spec,
+                                     TimeGrid(ts.t_rev, ts.t_cl / 20.0, count)).values
+        else:
+            values = angular_slice(coeffs, spec, ts.t_rev,
+                                   AngularGrid(0.0, 2.0 * math.pi / count, count)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tables + values.nbytes
 
 
 def test_signal_rejects_non_finite_samples():
