@@ -764,13 +764,14 @@ def hard_json_values() -> np.ndarray:
 
 
 @pytest.mark.parametrize("size, chunk", [(1, cli.CHUNK_ROWS), (7, 5), (7, cli.CHUNK_ROWS),
+                                         (2049, 5), (2049, cli.CHUNK_ROWS),
                                          (_FORMAT_VALUES + 1, 5),
                                          (_FORMAT_VALUES + 1, cli.CHUNK_ROWS)])
 def test_json_numbers_match_repr_on_hard_cases(size, chunk, monkeypatch):
     """The vectorised float.__repr__ is byte for byte repr on zeros,
     subnormals, powers of two, exact midpoints, notation switches, decade
-    roll-overs and ties, at 1, 7 and block + 1 values per column, with
-    chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
+    roll-overs and ties, at 1, 7, 2049 (a part block) and block + 1 values
+    per column, with chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
     block's passes, so that case takes every fifth value."""
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
     values = hard_json_values()[::5 if size == 1 else 1]
