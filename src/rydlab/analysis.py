@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autocorr import Signal
 from .spectrum import to_si
-from .superrevival import SuperrevivalPrediction
+
+if TYPE_CHECKING:
+    from .superrevival import SuperrevivalPrediction
 
 # Detection defaults for superrevival windows.  The relative threshold
 # rejects classical-period ripple; the separation of 0.6 periods keeps one

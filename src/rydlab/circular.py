@@ -77,21 +77,27 @@ def log_amplitude(n: float, r: float):
 
     The radial measure factor r makes the ridge of the amplitude sit at
     r = n^2.  It is common to every term of a fixed-radius slice, so slice
-    shapes are unaffected.  Accepts an array of radii.
+    shapes are unaffected.  Accepts an array of quantum numbers, an array
+    of radii, or both (broadcast); each element is bitwise the scalar
+    formula's, since log(n) and lgamma(n) are math.log and math.lgamma of
+    that element.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = np.asarray(n, dtype=float)
+    low = n[n < 1]
+    if low.size:
+        raise ValueError(f"n must be >= 1, got {low[0]}")
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise ValueError("radius must be finite and > 0")
+    log_n = np.vectorize(math.log, otypes=[float])(n)
     out = (
         math.log(2.0)
-        - 2.0 * math.log(n)
+        - 2.0 * log_n
         + n * np.log(r)
-        - (n - 1.0) * math.log(n)
+        - (n - 1.0) * log_n
         - r / n
         - 0.5 * math.log(4.0 * math.pi)
-        - math.lgamma(n)
+        - np.vectorize(math.lgamma, otypes=[float])(n)
     )
     return out if out.ndim else float(out)
 
@@ -114,7 +120,7 @@ def angular_slice(
     """
     if r is None:
         r = expectation_radius(spec.nbar)
-    logs = np.array([log_amplitude(spec.nbar + int(k), r) for k in coeffs.offsets])
+    logs = log_amplitude(spec.nbar + coeffs.offsets, r)
     thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
     weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
     m = spec.nbar + coeffs.offsets - 1.0

@@ -14,10 +14,15 @@ lists are at most q long, and loading the formatter there would only add
 import time.  Identical flags produce byte-identical output, whatever the
 chunk size.  `verify` evaluates only the windows t_sr/q +- t_rev it
 searches, each bitwise as on the whole grid from t = 0.
+A process imports only the layers its command runs: this module imports
+the standard library and rydlab.spectrum (which needs no numpy), each
+cmd_* imports its own layers, and the parser builds the flags of the
+command being run only.  So `predict` loads spectrum and superrevival, and
+`rydlab --help` loads no numpy at all.
 The process entry (`rydlab`, `python -m rydlab.cli`) is run(): it freezes
-the heap the imports built (gc.freeze) before the command, so neither the
-collector nor interpreter teardown walks it again; main() called
-in-process freezes nothing.
+the heap (gc.freeze) after the command, just before exit, so interpreter
+teardown does not walk what the command and its imports built; main()
+called in-process freezes nothing.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (also a `verify` that evaluates no prediction), 2
 usage error.
@@ -36,16 +41,7 @@ from collections.abc import Iterator
 from dataclasses import replace
 from itertools import chain
 
-import numpy as np
-
-from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, _judge, _search_window
-from .autocorr import (
-    PhaseModel, Signal, TimeGrid, _a2_chunks, _check_a2, _kernel_bytes, _window_indices,
-)
-from .circular import AngularGrid, angular_slice
-from .packet import gaussian_packet
 from .spectrum import AtomSpec, from_si, timescales, to_si
-from .superrevival import prediction_table
 
 # q values checked by `verify` when none are given: the pair claimed for
 # packets all the way down to the experimentally accessible nbar ~ 48.
@@ -149,6 +145,8 @@ def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
 
 
 def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
+    from .superrevival import prediction_table
+
     qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
     if max(qs) > MAX_Q:
         parser.error(f"--q must be <= {MAX_Q}, got {max(qs)}")
@@ -162,6 +160,8 @@ def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int,
                   start: int = 0, stop: int | None = None) -> None:
     """Usage error when the kernel tables for coeffs over [start, stop)
     (default all) of a count-point grid would pass MAX_KERNEL_BYTES."""
+    from .autocorr import _kernel_bytes
+
     size = _kernel_bytes(coeffs.offsets.size, count, start, stop)
     if size > MAX_KERNEL_BYTES:
         parser.error(
@@ -205,6 +205,11 @@ def cmd_predict(parser, args) -> int:
 
 
 def cmd_autocorr(parser, args) -> int:
+    import numpy as np
+
+    from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2
+    from .packet import gaussian_packet
+
     spec = _atom_spec(parser, args)
     if not 1 <= args.samples <= MAX_SAMPLES:
         parser.error(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
@@ -235,6 +240,11 @@ def cmd_autocorr(parser, args) -> int:
 
 
 def cmd_slice(parser, args) -> int:
+    import numpy as np
+
+    from .circular import AngularGrid, angular_slice
+    from .packet import gaussian_packet
+
     spec = _atom_spec(parser, args)
     if not 1 <= args.points <= MAX_SAMPLES:
         parser.error(f"--points must be in [1, {MAX_SAMPLES}], got {args.points}")
@@ -261,6 +271,10 @@ def cmd_slice(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    from .analysis import _judge, _search_window
+    from .autocorr import PhaseModel, Signal, TimeGrid, _a2_chunks, _window_indices
+    from .packet import gaussian_packet
+
     spec = _atom_spec(parser, args)
     if not (0.0 < args.threshold <= 1.0):
         parser.error(f"--threshold must be in (0, 1], got {args.threshold}")
@@ -318,53 +332,48 @@ def cmd_verify(parser, args) -> int:
     return 0 if all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rydlab",
-        description="Long-term revival structure of Rydberg wave packets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _atom_flags(p) -> None:
+    p.add_argument("--nbar", type=float, required=True,
+                   help="central principal quantum number")
+    p.add_argument("--sigma", type=float, required=True,
+                   help="excitation distribution width (units of n)")
+    p.add_argument("--defect", type=float, default=0.0,
+                   help="quantum defect (default 0)")
+    p.add_argument("--out", default=None,
+                   help="output file (default: stdout)")
 
-    def add_atom_flags(p):
-        p.add_argument("--nbar", type=float, required=True,
-                       help="central principal quantum number")
-        p.add_argument("--sigma", type=float, required=True,
-                       help="excitation distribution width (units of n)")
-        p.add_argument("--defect", type=float, default=0.0,
-                       help="quantum defect (default 0)")
-        p.add_argument("--out", default=None,
-                       help="output file (default: stdout)")
 
-    p = sub.add_parser("predict", help="superrevival prediction table (JSON)")
-    add_atom_flags(p)
+def _predict_flags(p) -> None:
     p.add_argument("--q", type=int, action="append",
                    help="fraction denominator q (repeatable, multiple of 3); "
                         f"default {' '.join(map(str, DEFAULT_VERIFY_Q))}")
     p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("autocorr", help="|A(t)|^2 time series")
-    add_atom_flags(p)
+
+def _autocorr_flags(p) -> None:
+    from .autocorr import PhaseModel
+
     p.add_argument("--tmin", type=float, required=True, help="start time (seconds)")
     p.add_argument("--tmax", type=float, required=True, help="end time (seconds)")
     p.add_argument("--samples", type=int, required=True, help="number of samples")
     p.add_argument("--model", choices=[m.value for m in PhaseModel],
                    default="exact", help="phase model (default exact)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_autocorr)
 
-    p = sub.add_parser("slice", help="angular slice of the circular packet")
-    add_atom_flags(p)
+
+def _slice_flags(p) -> None:
     p.add_argument("--t", type=float, required=True, help="evaluation time (seconds)")
     p.add_argument("--points", type=int, default=4096,
                    help="azimuthal samples over [-pi, pi) (default 4096)")
     p.add_argument("--radius", type=float, default=None,
                    help="ring radius in a.u. (default: expectation radius)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_slice)
 
-    p = sub.add_parser("verify", help="simulate, measure, and check predictions")
-    add_atom_flags(p)
+
+def _verify_flags(p) -> None:
+    from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE
+    from .autocorr import PhaseModel
+
     p.add_argument("--q", type=int, action="append",
                    help="fraction denominator q (repeatable); "
                         f"default {' '.join(map(str, DEFAULT_VERIFY_Q))}")
@@ -377,13 +386,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak threshold as fraction of window max "
                         f"(default {DEFAULT_THRESHOLD:g})")
     p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(func=cmd_verify)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rydlab parser with all four subcommands.  Flags are built for
+    every subcommand when command is None, else for the one it names only
+    (none when it names no subcommand): the autocorr and verify flags import
+    their layers, and with them numpy."""
+    parser = argparse.ArgumentParser(
+        prog="rydlab",
+        description="Long-term revival structure of Rydberg wave packets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_flags, func in (
+        ("predict", "superrevival prediction table (JSON)", _predict_flags, cmd_predict),
+        ("autocorr", "|A(t)|^2 time series", _autocorr_flags, cmd_autocorr),
+        ("slice", "angular slice of the circular packet", _slice_flags, cmd_slice),
+        ("verify", "simulate, measure, and check predictions", _verify_flags, cmd_verify),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _atom_flags(p)
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so its first
+    # non-option argument names the subcommand.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     args = parser.parse_args(argv)
     try:
         code = args.func(parser, args)
@@ -397,12 +431,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Process entry (`rydlab`, `python -m rydlab.cli`): freeze the heap
-    built by the imports, so the collector never walks it again, not even at
-    exit, then exit with main()'s code.  main() itself freezes nothing, so
-    calling it in-process leaves the caller's collector as it was."""
+    """Process entry (`rydlab`, `python -m rydlab.cli`): run main(), then
+    freeze the heap (gc.freeze) just before exit with main()'s code, so
+    interpreter teardown does not walk the objects that the command and the
+    layers it imported built.  main() itself freezes nothing, so calling it
+    in-process leaves the caller's collector as it was."""
+    code = main()
     gc.freeze()
-    sys.exit(main())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .autocorr import PhaseModel, phase_cycles
-from .packet import CoefficientSet
 from .spectrum import AtomSpec, timescales_from_nstar, to_si
+
+if TYPE_CHECKING:
+    from .packet import CoefficientSet
 
 # |b_s| above this counts as nonzero; exact DFT zeros read ~2e-16 after
 # the FFT, so about seven orders of margin remain.
@@ -191,6 +192,10 @@ def reconstruct(
     so the residual vanishes to rounding level.  The expansion is local: t
     must lie within t_rev of the prediction's time center.
     """
+    # Imported here: weights and prediction_table run no phase model, so
+    # `predict` never loads the kernel's layers.
+    from .autocorr import PhaseModel, phase_cycles
+
     scales = timescales_from_nstar(spec.nstar)
     if abs(t - prediction.time_center) > scales.t_rev * (1.0 + 1e-9):
         raise ValueError("t outside the expansion's validity window "

@@ -148,6 +148,34 @@ def test_log_amplitude_ridge_at_n_squared():
     assert abs(r[np.argmax(values)] - 320**2) <= step
 
 
+def per_term_log_amplitude(n, r):
+    """The log ring amplitude of one state, evaluated as log_amplitude did
+    before it took an array of n: math.log and math.lgamma of a Python
+    float n, numpy's log of the radius."""
+    r = np.asarray(r, dtype=float)
+    return float(
+        math.log(2.0)
+        - 2.0 * math.log(n)
+        + n * np.log(r)
+        - (n - 1.0) * math.log(n)
+        - r / n
+        - 0.5 * math.log(4.0 * math.pi)
+        - math.lgamma(n)
+    )
+
+
+@pytest.mark.parametrize("nbar, sigma", [(320, 2.5), (1e6, 1e3)])
+def test_log_amplitude_over_n_is_the_per_term_loop(nbar, sigma):
+    """log_amplitude of the packet's array of n is bitwise the per-term loop
+    that angular_slice ran, for 37 and for 14,263 terms."""
+    spec = AtomSpec(nbar, sigma)
+    offsets = gaussian_packet(spec).offsets
+    r = expectation_radius(nbar)
+    loop = np.array([per_term_log_amplitude(spec.nbar + int(k), r) for k in offsets])
+    assert np.array_equal(log_amplitude(spec.nbar + offsets, r), loop)
+    assert log_amplitude(spec.nbar, r) == per_term_log_amplitude(spec.nbar, r)
+
+
 def test_packet_window_amplitudes_commensurate():
     """Across n = 315..325 at the packet radius the states stay within a
     handful of decades of each other (no overflow/underflow in the sum)."""
@@ -270,3 +298,5 @@ def test_grid_and_slice_validation():
             log_amplitude(320, bad)
     with pytest.raises(ValueError):
         log_amplitude(0, 1.0)
+    with pytest.raises(ValueError):
+        log_amplitude(np.array([320.0, 0.5]), 1.0)

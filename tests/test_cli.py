@@ -376,7 +376,7 @@ def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, caps
     def unreachable(*args):
         raise AssertionError("weights computed for an oversized q")
 
-    monkeypatch.setattr("rydlab.cli.prediction_table", unreachable)
+    monkeypatch.setattr("rydlab.superrevival.prediction_table", unreachable)
     for big in (3 * (MAX_Q // 3 + 1), 3 * (MAX_SAMPLES // 3 + 1)):
         with pytest.raises(SystemExit) as exc:
             main([command, "--nbar", "320", "--sigma", "2.5", "--q", "6", "--q", str(big)])
@@ -389,7 +389,8 @@ def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, caps
 def test_largest_q_is_admitted(monkeypatch):
     """The largest multiple of 3 up to MAX_Q passes the check."""
     seen = []
-    monkeypatch.setattr("rydlab.cli.prediction_table", lambda spec, qs: seen.extend(qs) or [])
+    monkeypatch.setattr("rydlab.superrevival.prediction_table",
+                        lambda spec, qs: seen.extend(qs) or [])
     largest = 3 * (MAX_Q // 3)
     assert main(["predict", "--nbar", "320", "--sigma", "2.5", "--q", str(largest),
                  "--out", os.devnull]) == 0
@@ -401,7 +402,7 @@ def test_oversized_slice_is_usage_error(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("slice evaluated for oversized --points")
 
-    monkeypatch.setattr("rydlab.cli.angular_slice", unreachable)
+    monkeypatch.setattr("rydlab.circular.angular_slice", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "0",
               "--points", str(MAX_SAMPLES + 1)])
@@ -468,7 +469,7 @@ def test_huge_sigma_is_usage_error_before_any_output(argv, nbar, sigma, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("coefficient window built for an oversized sigma")
 
-    monkeypatch.setattr("rydlab.cli.gaussian_packet", unreachable)
+    monkeypatch.setattr("rydlab.packet.gaussian_packet", unreachable)
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--nbar", nbar, "--sigma", sigma, *argv[1:]])
     assert exc.value.code == 2
@@ -478,15 +479,17 @@ def test_huge_sigma_is_usage_error_before_any_output(argv, nbar, sigma, monkeypa
 
 
 # Admitted sizes (sigma = 10^3, up to the 10^7 sample budget) whose kernel
-# tables would pass MAX_KERNEL_BYTES, with the kernel entry each command calls.
+# tables would pass MAX_KERNEL_BYTES, with the kernel entry each command
+# calls, named in the layer it is imported from.
 OVERSIZED_KERNEL_COMMANDS = {
     "autocorr": (["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0",
-                  "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)], "_a2_chunks"),
+                  "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)],
+                 "rydlab.autocorr._a2_chunks"),
     "slice": (["slice", "--nbar", "1e6", "--sigma", "1000", "--t", "0",
-               "--points", str(MAX_SAMPLES)], "angular_slice"),
+               "--points", str(MAX_SAMPLES)], "rydlab.circular.angular_slice"),
     # 12,034 terms on a 9.0e5-sample grid: 948 columns of V
     "verify": (["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
-               "_a2_chunks"),
+               "rydlab.autocorr._a2_chunks"),
 }
 
 
@@ -499,7 +502,7 @@ def test_oversized_kernel_is_usage_error_before_the_kernel(argv, kernel, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("kernel reached for an oversized terms x grid request")
 
-    monkeypatch.setattr(cli, kernel, unreachable)
+    monkeypatch.setattr(kernel, unreachable)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -800,33 +803,60 @@ def test_json_numbers_match_repr_on_any_bits(bits, size):
     assert vectorised_json(values) == repr_json(values)
 
 
+# The rydlab modules besides rydlab.cli that each command loads, and
+# whether it loads numpy.
+_KERNEL_LAYERS = ("_ddmath", "autocorr", "packet", "spectrum")
+COMMAND_MODULES = {
+    "--help": (("spectrum",), False),
+    "predict": (("spectrum", "superrevival"), True),
+    "autocorr csv": (_KERNEL_LAYERS + ("_sciformat",), True),
+    "autocorr json": (_KERNEL_LAYERS + ("_reprformat", "_sciformat"), True),
+    "slice": (_KERNEL_LAYERS + ("_sciformat", "circular"), True),
+    "verify": (_KERNEL_LAYERS + ("analysis", "superrevival"), True),
+}
+
+
 def test_formatters_load_only_where_used():
-    """predict and verify load neither number formatter, and a CSV autocorr
-    not the JSON one, so neither adds to their start-up.  No command loads
-    numpy.ma (np.median imports it on first use) beyond what a bare
-    `import numpy` loads (numpy 1.24 imports it eagerly)."""
+    """Each command, in a fresh process, imports only the layers it runs
+    (COMMAND_MODULES): predict and verify load neither number formatter, a
+    CSV autocorr not the JSON one, and `rydlab --help` loads no numpy.  No
+    command loads numpy.ma (np.median imports it on first use) beyond what
+    a bare `import numpy` loads (numpy 1.24 imports it eagerly)."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    atom = "'--nbar', '48', '--sigma', '1.5', '--out', os.devnull"
-    grid = "'--tmin', '0', '--tmax', '1e-10', '--samples', '10'"
+    atom = ["--nbar", "48", "--sigma", "1.5", "--out", os.devnull]
+    grid = ["--tmin", "0", "--tmax", "1e-10", "--samples", "10"]
+    argvs = {
+        "--help": ["--help"],
+        "predict": ["predict", *atom],
+        "autocorr csv": ["autocorr", *atom, *grid, "--format", "csv"],
+        "autocorr json": ["autocorr", *atom, *grid, "--format", "json"],
+        "slice": ["slice", *atom, "--t", "0", "--points", "10"],
+        "verify": ["verify", *atom],
+    }
     code = (
         "import os, sys\n"
-        "import numpy\n"
-        "bare = set(sys.modules)\n"
         "from rydlab.cli import main\n"
-        f"for argv in [['predict', {atom}], ['verify', {atom}],\n"
-        f"             ['autocorr', {atom}, {grid}, '--format', 'csv'],\n"
-        f"             ['autocorr', {atom}, {grid}, '--format', 'json']]:\n"
-        "    main(argv)\n"
-        "    print(' '.join(m for m in ('rydlab._sciformat', 'rydlab._reprformat',\n"
-        "                               'numpy.ma')\n"
-        "                   if m in sys.modules and m not in bare))\n"
+        "report, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(' '.join(sorted(m[7:] for m in sys.modules\n"
+        "                      if m.startswith('rydlab.') and m != 'rydlab.cli')),\n"
+        "      'numpy' in sys.modules, 'numpy.ma' in sys.modules, sep='|', file=report)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split("\n") == ["", "", "rydlab._sciformat",
-                                "rydlab._sciformat rydlab._reprformat", ""]
+
+    def child(*args):
+        return subprocess.run([sys.executable, *args], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout
+
+    bare_ma = child("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True\n"
+    for command, (modules, numpy_loaded) in COMMAND_MODULES.items():
+        loaded, numpy, ma = child("-c", code, *argvs[command]).rstrip("\n").split("|")
+        assert (command, loaded.split(), numpy) == (command, sorted(modules), str(numpy_loaded))
+        assert ma == "False" or bare_ma, command
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -845,7 +875,7 @@ def test_autocorr_checks_every_chunk(monkeypatch, capsys):
         yield np.array([0.5, 0.5])
         yield np.array([0.5, math.nan])
 
-    monkeypatch.setattr(cli, "_a2_chunks", bad_second_chunk)
+    monkeypatch.setattr("rydlab.autocorr._a2_chunks", bad_second_chunk)
     with pytest.raises(ValueError, match="finite"):
         main(["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e-10", "--samples", "4"])
 
@@ -868,9 +898,10 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_process_entry_freezes_the_heap_and_main_does_not(tmp_path):
-    """`python -m rydlab.cli` freezes the import-time heap before it runs the
-    command (its atexit hooks see a nonzero gc.get_freeze_count()), while
-    main() called in-process leaves the caller's collector alone."""
+    """`python -m rydlab.cli` freezes the heap after the command, just before
+    exit, so interpreter teardown skips what the command and the layers it
+    imported built (its atexit hooks see a nonzero gc.get_freeze_count()),
+    while main() called in-process leaves the caller's collector alone."""
     before = gc.get_freeze_count()
     assert main(["predict", *ATOM_48, "--q", "6", "--out", os.devnull]) == 0
     assert gc.get_freeze_count() == before
