@@ -112,10 +112,6 @@ class Signal:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.values.size)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.values.size - 1)
-
     def window(self, t_lo: float, t_hi: float) -> "Signal":
         """Sub-signal covering [t_lo, t_hi]; raises if no samples fall inside."""
         i0, i1 = _window_indices(self.t0, self.dt, self.values.size, t_lo, t_hi)

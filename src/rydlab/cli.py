@@ -15,33 +15,36 @@ import time.  Identical flags produce byte-identical output, whatever the
 chunk size.  `verify` evaluates only the windows t_sr/q +- t_rev it
 searches, each bitwise as on the whole grid from t = 0.
 A process imports only the layers its command runs: this module imports
-the standard library and rydlab.spectrum (which needs no numpy), each
-cmd_* imports its own layers, and the parser builds the flags of the
-command being run only.  So `predict` loads spectrum and superrevival, and
-`rydlab --help` loads no numpy at all.
+the argparse stack only (argparse, gc, math, os, sys), each function
+imports the modules it uses, json and rydlab.spectrum included, and the
+parser builds the flags of the command being run only.  So `predict` loads
+spectrum and superrevival, and `rydlab --help` loads no rydlab layer, no
+json, no dataclasses and no numpy.
 The process entry (`rydlab`, `python -m rydlab.cli`) is run(): it freezes
 the heap (gc.freeze) after the command, just before exit, so interpreter
 teardown does not walk what the command and its imports built; main()
 called in-process freezes nothing.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (also a `verify` that evaluates no prediction), 2
-usage error.
+usage error (also an --out that cannot be opened).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import json
 import math
 import os
 import sys
-from collections.abc import Iterator
-from dataclasses import replace
-from itertools import chain
 
-from .spectrum import AtomSpec, from_si, timescales, to_si
+# typing.TYPE_CHECKING, which type checkers recognise by its name: where site
+# has not loaded typing (python -S), importing it adds ~8 ms to
+# `rydlab --help` on a 2-vCPU Xeon host.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    from .spectrum import AtomSpec
 
 # q values checked by `verify` when none are given: the pair claimed for
 # packets all the way down to the experimentally accessible nbar ~ 48.
@@ -105,6 +108,8 @@ def _json(scalars: dict, columns: dict):
     """json.dumps({**scalars, **columns}, indent=2) + "\n" in pieces, each
     column an iterable of chunks (arrays of finite floats) streamed in turn,
     every number the bytes of float.__repr__(x)."""
+    import json
+
     # Imported here, so that commands that write no JSON column neither
     # compile it nor build its tables.
     from ._reprformat import json_values
@@ -126,18 +131,24 @@ def _json(scalars: dict, columns: dict):
     yield "\n}\n"
 
 
-def _write(out_path: str | None, pieces) -> None:
+def _write(parser: argparse.ArgumentParser, out_path: str | None, pieces) -> None:
     """Write each text piece to out_path (stdout when None or "-") before
-    the next one is formed."""
+    the next one is formed; an out_path that cannot be opened is a usage
+    error."""
     if out_path is None or out_path == "-":
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        target = open(out_path, "w", encoding="utf-8", newline="")
-    with target as fh:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        parser.error(f"argument --out: can't open {out_path!r}: {exc.strerror}")
+    with fh:
         fh.writelines(pieces)
 
 
 def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
+    from .spectrum import AtomSpec
+
     try:
         return AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
     except ValueError as exc:
@@ -175,6 +186,10 @@ def _predict_json(head: dict, preds) -> Iterator[str]:
     """json.dumps({**head, "predictions": [p.to_dict() for p in preds]},
     indent=2) + "\n" in pieces, each prediction's b streamed as CHUNK_ROWS
     [re, im] pairs per format call instead of held as nested lists."""
+    import json
+    from dataclasses import replace
+    from itertools import chain
+
     yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
     yield '  "predictions": ['
     pair = ",\n        [\n          %s,\n          %s\n        ]"
@@ -200,7 +215,7 @@ def cmd_predict(parser, args) -> int:
     spec = _atom_spec(parser, args)
     preds = _predictions(parser, args, spec)
     head = {"nbar": args.nbar, "sigma": args.sigma, "defect": args.defect}
-    _write(args.out, _predict_json(head, preds))
+    _write(parser, args.out, _predict_json(head, preds))
     return 0
 
 
@@ -209,6 +224,7 @@ def cmd_autocorr(parser, args) -> int:
 
     from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2
     from .packet import gaussian_packet
+    from .spectrum import from_si, to_si
 
     spec = _atom_spec(parser, args)
     if not 1 <= args.samples <= MAX_SAMPLES:
@@ -235,7 +251,7 @@ def cmd_autocorr(parser, args) -> int:
         "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)) for lo, hi in parts),
         "a2": (_check_a2(values) for values in a2),
     }
-    _write(args.out, _csv(columns) if args.format == "csv" else _json({}, columns))
+    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json({}, columns))
     return 0
 
 
@@ -244,6 +260,7 @@ def cmd_slice(parser, args) -> int:
 
     from .circular import AngularGrid, angular_slice
     from .packet import gaussian_packet
+    from .spectrum import from_si
 
     spec = _atom_spec(parser, args)
     if not 1 <= args.points <= MAX_SAMPLES:
@@ -266,14 +283,17 @@ def cmd_slice(parser, args) -> int:
         "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]) for lo, hi in parts),
     }
     scalars = {"t_si": args.t, "r_au": result.r}
-    _write(args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))
+    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))
     return 0
 
 
 def cmd_verify(parser, args) -> int:
+    import json
+
     from .analysis import _judge, _search_window
     from .autocorr import PhaseModel, Signal, TimeGrid, _a2_chunks, _window_indices
     from .packet import gaussian_packet
+    from .spectrum import timescales
 
     spec = _atom_spec(parser, args)
     if not (0.0 < args.threshold <= 1.0):
@@ -328,7 +348,7 @@ def cmd_verify(parser, args) -> int:
         "result": "pass" if all_pass else "fail",
         "entries": [e.to_dict() for e in entries],
     }
-    _write(args.out, [json.dumps(record, indent=2) + "\n"])
+    _write(parser, args.out, [json.dumps(record, indent=2) + "\n"])
     return 0 if all_pass else 1
 
 

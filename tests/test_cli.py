@@ -807,7 +807,9 @@ def test_json_numbers_match_repr_on_any_bits(bits, size):
 # whether it loads numpy.
 _KERNEL_LAYERS = ("_ddmath", "autocorr", "packet", "spectrum")
 COMMAND_MODULES = {
-    "--help": (("spectrum",), False),
+    "--help": ((), False),
+    "predict --help": ((), False),
+    "slice --help": ((), False),
     "predict": (("spectrum", "superrevival"), True),
     "autocorr csv": (_KERNEL_LAYERS + ("_sciformat",), True),
     "autocorr json": (_KERNEL_LAYERS + ("_reprformat", "_sciformat"), True),
@@ -819,9 +821,10 @@ COMMAND_MODULES = {
 def test_formatters_load_only_where_used():
     """Each command, in a fresh process, imports only the layers it runs
     (COMMAND_MODULES): predict and verify load neither number formatter, a
-    CSV autocorr not the JSON one, and `rydlab --help` loads no numpy.  No
-    command loads numpy.ma (np.median imports it on first use) beyond what
-    a bare `import numpy` loads (numpy 1.24 imports it eagerly)."""
+    CSV autocorr not the JSON one, and `rydlab --help` loads no rydlab
+    layer and no numpy.  No command loads numpy.ma (np.median imports it on
+    first use) beyond what a bare `import numpy` loads (numpy 1.24 imports
+    it eagerly), and no help loads dataclasses or json."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -829,6 +832,8 @@ def test_formatters_load_only_where_used():
     grid = ["--tmin", "0", "--tmax", "1e-10", "--samples", "10"]
     argvs = {
         "--help": ["--help"],
+        "predict --help": ["predict", "--help"],
+        "slice --help": ["slice", "--help"],
         "predict": ["predict", *atom],
         "autocorr csv": ["autocorr", *atom, *grid, "--format", "csv"],
         "autocorr json": ["autocorr", *atom, *grid, "--format", "json"],
@@ -845,7 +850,8 @@ def test_formatters_load_only_where_used():
         "    pass\n"
         "print(' '.join(sorted(m[7:] for m in sys.modules\n"
         "                      if m.startswith('rydlab.') and m != 'rydlab.cli')),\n"
-        "      'numpy' in sys.modules, 'numpy.ma' in sys.modules, sep='|', file=report)\n"
+        "      'numpy' in sys.modules, 'numpy.ma' in sys.modules,\n"
+        "      sorted({'dataclasses', 'json'} & set(sys.modules)), sep='|', file=report)\n"
     )
 
     def child(*args):
@@ -854,9 +860,11 @@ def test_formatters_load_only_where_used():
 
     bare_ma = child("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True\n"
     for command, (modules, numpy_loaded) in COMMAND_MODULES.items():
-        loaded, numpy, ma = child("-c", code, *argvs[command]).rstrip("\n").split("|")
+        loaded, numpy, ma, stdlib = child("-c", code, *argvs[command]).rstrip("\n").split("|")
         assert (command, loaded.split(), numpy) == (command, sorted(modules), str(numpy_loaded))
         assert ma == "False" or bare_ma, command
+        if command.endswith("--help"):
+            assert stdlib == "[]", command
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -895,6 +903,25 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+@pytest.mark.parametrize("argv", HUGE_NBAR_COMMANDS.values(), ids=HUGE_NBAR_COMMANDS.keys())
+def test_unopenable_out_is_usage_error(argv, target, tmp_path):
+    """An --out in a missing directory, or naming a directory, exits 2 with
+    a usage error and nothing on stdout, not a traceback and exit 1 (for
+    `verify`, the code of a failed check)."""
+    out = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
+    src = str(Path(rydlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rydlab.cli", argv[0], *ATOM_48, *argv[1:], "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(
+        f"rydlab: error: argument --out: can't open {str(out)!r}: ")
 
 
 def test_process_entry_freezes_the_heap_and_main_does_not(tmp_path):
