@@ -197,31 +197,21 @@ def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
 _GEMM_ROWS = 32
 
 
-def _u_rows(count: int, start: int, stop: int) -> tuple[int, int, int]:
-    """(B, j0, j1): B = isqrt(count) columns of V, and the rows [j0, j1) of
-    U that _amplitude_chunks forms for [start, stop), the blocks of B
-    samples touching the range, widened to whole groups of _GEMM_ROWS."""
+def _kernel_bytes(terms: int, count: int) -> int:
+    """Bytes of the tables _amplitude_chunks holds for `terms` terms on a
+    count-point grid, whatever the index range: V, K*B complex values with
+    B = isqrt(count), one slab of U, K*_GEMM_ROWS, and its product,
+    _GEMM_ROWS*B."""
     block = math.isqrt(count)
-    j0 = start // block // _GEMM_ROWS * _GEMM_ROWS
-    j1 = -(-((stop - 1) // block + 1) // _GEMM_ROWS) * _GEMM_ROWS
-    return block, j0, j1
-
-
-def _kernel_bytes(terms: int, count: int, start: int = 0, stop: int | None = None) -> int:
-    """Bytes of the tables _amplitude_chunks holds for `terms` terms over
-    [start, stop) (default the whole grid) of a count-point grid: the rows
-    of U and the B columns of V, K*(rows + B) complex values, plus one
-    product of _GEMM_ROWS rows, _GEMM_ROWS*B more."""
-    block, j0, j1 = _u_rows(count, start, count if stop is None else stop)
-    return (terms * (j1 - j0 + block) + _GEMM_ROWS * block) * np.dtype(complex).itemsize
+    return (terms * (block + _GEMM_ROWS) + _GEMM_ROWS * block) * np.dtype(complex).itemsize
 
 
 # Table entries of U and V formed at a time.  The double-double temporaries
 # then stay in cache instead of growing with the tables, and every entry
 # goes through the same elementwise operations whatever the tile, so the
-# tables are bitwise the same for any tile size.  Forming the 130 MB of
-# tables at sigma = 1e3 and 8x10^4 samples took 0.72 s at 2^13, 0.67 s at
-# 2^14 and 2^15, and 1.38 s as whole arrays (2-vCPU Xeon, 2 MB L2 per
+# tables are bitwise the same for any tile size.  The kernel at
+# sigma = 1e3 and 8x10^4 samples took 0.67-0.72 s in tiles of 2^13, 2^14
+# or 2^15 entries and 1.3 s forming whole tables (2-vCPU Xeon, 2 MB L2 per
 # core); 2^14 keeps a float temporary at 128 kB.
 _FORM_ENTRIES = 1 << 14
 
@@ -252,30 +242,22 @@ def _amplitude_chunks(
     consecutive arrays of `size` samples (the last may be shorter); with
     squared, re^2 + im^2 of each product instead.
 
-    V, the rows of U and each product of _GEMM_ROWS rows are formed once,
-    so memory is O(K*sqrt(count) + size) whatever the range, and any
+    V is formed once, and each product of _GEMM_ROWS rows once, from a
+    slab of U formed just before it, so memory is V, one slab of U and its
+    product (_kernel_bytes) plus the chunk, whatever the range, and any
     partition of [0, count) and any chunk size reproduce the full run
     bitwise.  U and V are formed in tiles of _FORM_ENTRIES entries, so the
-    peak stays near the tables themselves (_kernel_bytes): 1.07x at
-    sigma = 1e3 on a 4096-point grid.
+    peak stays near the tables themselves: 1.10x at sigma = 1e3 on a
+    4096-point grid.
     """
     if not 0 <= start < stop <= count:
         raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
-    block, j0, j1 = _u_rows(count, start, stop)
+    block = math.isqrt(count)
     per_sample = dd.dd_mul_f(rate, dx)
     at_x0 = dd.dd_mul_f(rate, x0)
     per_row = dd.dd_mul_f(per_sample, float(block))
-    j = np.arange(j0, j1, dtype=float)[:, None]
-    u = np.empty((j1 - j0, weights.size), dtype=complex)
+    u = np.empty((_GEMM_ROWS, weights.size), dtype=complex)
     v = np.empty((weights.size, block), dtype=complex)
-    for r, c in _tiles(*u.shape):
-        cycles = dd.dd_frac(dd.dd_add(
-            (at_x0[0][c], at_x0[1][c]), dd.dd_mul_f((per_row[0][c], per_row[1][c]), j[r])
-        ))
-        np.exp(-2j * np.pi * cycles, out=u[r, c])
-    # the weights in one product over all of U: numpy rounds a complex
-    # product differently when a tile one entry wide broadcasts an operand
-    np.multiply(weights, u, out=u)
     m = np.arange(block, dtype=float)
     for r, c in _tiles(*v.shape):
         col_rate = (per_sample[0][r, None], per_sample[1][r, None])
@@ -287,8 +269,17 @@ def _amplitude_chunks(
         out = np.empty(hi - lo, dtype=float if squared else complex)
         for first in range(lo // span * span, hi, span):
             if first != formed:
-                r = first // block - j0
-                held = (u[r : r + _GEMM_ROWS] @ v).reshape(-1)
+                j = np.arange(first // block, first // block + _GEMM_ROWS, dtype=float)[:, None]
+                for r, c in _tiles(*u.shape):
+                    cycles = dd.dd_frac(dd.dd_add(
+                        (at_x0[0][c], at_x0[1][c]),
+                        dd.dd_mul_f((per_row[0][c], per_row[1][c]), j[r]),
+                    ))
+                    np.exp(-2j * np.pi * cycles, out=u[r, c])
+                # the weights in one product over the slab: numpy rounds a complex
+                # product differently when a tile one entry wide broadcasts an operand
+                np.multiply(weights, u, out=u)
+                held = (u @ v).reshape(-1)
                 if squared:
                     held = held.real**2 + held.imag**2
                 formed = first

@@ -72,14 +72,15 @@ MAX_GRID_INDEX = 2**53
 MAX_Q = 10**6
 
 # Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
-# the kernel holds ~(2*K + 32)*isqrt(N) complex values (autocorr._kernel_bytes;
-# for `verify`, K*isqrt(N) plus the rows of one window), and forms them in
-# cache-sized tiles (158 MB peak RSS for 130 MB of tables on a 2-vCPU Xeon),
-# so no admitted request needs much more than 160 MB.  It binds for
-# wide packets, and for `verify` at large nbar (isqrt(N) grows as nbar): 37
-# terms at 10^7 samples hold 5.4 MB, sigma = 10^3 (14,263 terms at
-# nbar = 10^6) is admitted up to ~8x10^4 samples, and `verify` at
-# sigma = 2.5 and q = 3 up to nbar ~ 7x10^4.
+# the kernel holds V, one 32-row slab of U and its product, K*(B + 32) + 32*B
+# complex values with B = isqrt(N), whatever range it evaluates
+# (autocorr._kernel_bytes), and forms them in cache-sized tiles, so a request
+# peaks near its tables: 162 MB peak RSS for 134 MB at sigma = 10^3 on a
+# 2-vCPU Xeon.  It binds for wide packets, and for `verify` at large nbar
+# (B grows as nbar): 37 terms at 10^7 samples hold 3.5 MB, sigma = 10^3
+# (14,263 terms at nbar = 10^6) is admitted up to 308,024 samples, and
+# `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577 (220 MB peak RSS:
+# there the 32-row product is half the tables, and |A|^2 is squared from it).
 MAX_KERNEL_BYTES = 1 << 27
 
 # Rows evaluated, formatted and written at a time.
@@ -167,13 +168,12 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
         parser.error(str(exc))
 
 
-def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int,
-                  start: int = 0, stop: int | None = None) -> None:
-    """Usage error when the kernel tables for coeffs over [start, stop)
-    (default all) of a count-point grid would pass MAX_KERNEL_BYTES."""
+def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
+    """Usage error when the kernel tables for coeffs on a count-point grid
+    would pass MAX_KERNEL_BYTES."""
     from .autocorr import _kernel_bytes
 
-    size = _kernel_bytes(coeffs.offsets.size, count, start, stop)
+    size = _kernel_bytes(coeffs.offsets.size, count)
     if size > MAX_KERNEL_BYTES:
         parser.error(
             f"{coeffs.offsets.size} terms on a {count}-point grid need {size} bytes of "
@@ -298,8 +298,8 @@ def cmd_verify(parser, args) -> int:
     spec = _atom_spec(parser, args)
     if not (0.0 < args.threshold <= 1.0):
         parser.error(f"--threshold must be in (0, 1], got {args.threshold}")
-    if args.tolerance <= 0.0:
-        parser.error(f"--tolerance must be > 0, got {args.tolerance}")
+    if not 0.0 < args.tolerance < math.inf:
+        parser.error(f"--tolerance must be finite and > 0, got {args.tolerance}")
     preds = _predictions(parser, args, spec)
     scales = timescales(spec)
     # The grid runs from t = 0 to the last window; only the windows are
@@ -327,7 +327,7 @@ def cmd_verify(parser, args) -> int:
                 f"t_sr/{pred.q}, more than the {MAX_SAMPLES} sample budget; use "
                 "smaller --nbar"
             )
-        _check_kernel(parser, coeffs, grid.count, first, last + 1)
+        _check_kernel(parser, coeffs, grid.count)
         ranges.append((first, last + 1))
     model = PhaseModel(args.model)
     entries = []
@@ -428,7 +428,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             _atom_flags(p)
             add_flags(p)
-        p.set_defaults(func=func)
+        # each command reports its usage errors through its own parser, as
+        # argparse reports the errors it finds in that command's flags
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
@@ -440,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     args = parser.parse_args(argv)
     try:
-        code = args.func(parser, args)
+        code = args.func(args.parser, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -26,9 +26,9 @@ MAX_NBAR = 1e59
 
 # Largest sigma.  gaussian_packet searches 12 sigma either side of nbar
 # (24,001 offsets at the bound) before it trims the window to ~7 sigma, and
-# the kernel holds ~2 kB per kept term even on small grids: a 4096-point
-# slice peaks at 61 MB at sigma = 1e3 and at 330 MB at sigma = 1e4, a
-# 10^4-sample autocorr at 83 MB and 550 MB.
+# the kernel holds 1.5-2 kB per kept term even on small grids: a 4096-point
+# slice peaks at 55 MB at sigma = 1e3 and at 263 MB at sigma = 1e4, a
+# 10^4-sample autocorr at 62 MB and 340 MB.
 MAX_SIGMA = 1e3
 
 

@@ -32,6 +32,7 @@ from rydlab import (
     to_si,
 )
 from rydlab._reprformat import _FORMAT_VALUES
+from rydlab.autocorr import _kernel_bytes
 from rydlab.cli import MAX_KERNEL_BYTES, MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -269,9 +270,12 @@ def test_verify_rejects_bad_detection_flags():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nbar", "48", "--sigma", "1.5", "--threshold", "1.5"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--nbar", "48", "--sigma", "1.5", "--tolerance", "-1"])
-    assert exc.value.code == 2
+    # NaN fails every comparison and is not JSON; an infinite tolerance
+    # would pass every evaluated entry
+    for tolerance in ("-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--nbar", "48", "--sigma", "1.5", "--tolerance", tolerance])
+        assert exc.value.code == 2
 
 
 def test_missing_required_flags_exit_2():
@@ -505,6 +509,31 @@ def test_oversized_kernel_is_usage_error_before_the_kernel(argv, kernel, monkeyp
     monkeypatch.setattr(kernel, unreachable)
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the {MAX_KERNEL_BYTES} byte budget" in captured.err
+
+
+def test_kernel_budget_edge_at_sigma_1000(monkeypatch, capsys):
+    """At sigma = 10^3 (14,263 terms) the kernel holds K*(B + 32) + 32*B
+    complex values with B = isqrt(samples): B = 554 fits the budget and
+    B = 555 does not, so 555^2 - 1 = 308,024 samples reach the kernel and
+    one more exits 2 before it."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    assert _kernel_bytes(14_263, 308_024) <= MAX_KERNEL_BYTES < _kernel_bytes(14_263, 308_025)
+    monkeypatch.setattr("rydlab.autocorr._a2_chunks", reached)
+    argv = ["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0", "--tmax", "1e-9",
+            "--samples"]
+    with pytest.raises(Reached):
+        main([*argv, "308024"])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "308025"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -921,7 +950,36 @@ def test_unopenable_out_is_usage_error(argv, target, tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith(
-        f"rydlab: error: argument --out: can't open {str(out)!r}: ")
+        f"rydlab {argv[0]}: error: argument --out: can't open {str(out)!r}: ")
+
+
+# One usage error per command that the command finds after parsing, and an
+# --out that cannot be opened ("{dir}" stands for a directory).
+POST_PARSE_ERRORS = {
+    "predict": ["predict", *ATOM_48, "--q", "5"],
+    "autocorr": ["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e-9", "--samples", "0"],
+    "slice": ["slice", *ATOM_48, "--t", "0", "--points", "0"],
+    "verify": ["verify", *ATOM_48, "--threshold", "1.5"],
+    "out": ["predict", *ATOM_48, "--out", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("argv", POST_PARSE_ERRORS.values(), ids=POST_PARSE_ERRORS.keys())
+def test_post_parse_errors_print_the_command_usage(argv, tmp_path, capsys):
+    """Errors a command finds after parsing print that command's usage, as
+    argparse's own errors in its flags (here a missing --nbar) do, not the
+    top-level `rydlab {predict,...}` usage."""
+    command = argv[0]
+    with pytest.raises(SystemExit):
+        main([command])
+    own_usage = capsys.readouterr().err.split(f"rydlab {command}: error: ")[0]
+    assert own_usage.startswith(f"usage: rydlab {command} [-h] --nbar NBAR")
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path) if arg == "{dir}" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(own_usage + f"rydlab {command}: error: ")
 
 
 def test_process_entry_freezes_the_heap_and_main_does_not(tmp_path):
