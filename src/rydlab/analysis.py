@@ -6,6 +6,10 @@ estimate_periodicity():  robust (median) spacing of a peak train.
 verify():                compare measured periodicities in the windows
                          around each predicted superrevival against the
                          predicted (3/q) t_rev values.
+
+verify() and `rydlab verify` judge through one loop, _verify, which asks a
+sample source for the samples of each covered window: verify() slices its
+signal, the command runs the |A|^2 kernel on that window alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autocorr import Signal
+from .autocorr import Signal, TimeGrid, _window_indices
 from .spectrum import to_si
 
 if TYPE_CHECKING:
@@ -172,15 +176,16 @@ def estimate_periodicity(
     )
 
 
-def _search_window(pred: SuperrevivalPrediction, t0: float, dt: float, count: int):
-    """The window time_center +- t_rev (the revival time implied by the
-    prediction) that verify searches on the grid t0 + dt*i, 0 <= i < count,
-    as (t_lo, t_hi); None when the grid does not cover it."""
+def _window_range(pred: SuperrevivalPrediction, grid: TimeGrid):
+    """The index range [start, stop) of the window time_center +- t_rev (the
+    revival time implied by the prediction) that verify searches on grid, as
+    Signal.window selects it; None when the grid does not cover the window."""
     t_rev = pred.periodicity * pred.q / 3.0
     lo, hi = pred.time_center - t_rev, pred.time_center + t_rev
-    if lo >= t0 - dt and hi <= t0 + dt * (count - 1) + dt:
-        return lo, hi
-    return None
+    if not (lo >= grid.t0 - grid.dt and hi <= grid.t0 + grid.dt * (grid.count - 1) + grid.dt):
+        return None
+    first, last = _window_indices(grid.t0, grid.dt, grid.count, lo, hi)
+    return first, last + 1
 
 
 def _judge(
@@ -220,9 +225,19 @@ def verify(
     (relative).  Windows not fully covered by the signal yield status
     "not evaluated"; windows with fewer than three detected peaks fail.
     """
+    return _verify(predictions, TimeGrid(signal.t0, signal.dt, signal.values.size),
+                   lambda start, stop: signal.values[start:stop], threshold, tolerance)
+
+
+def _verify(predictions: list[SuperrevivalPrediction], grid: TimeGrid, samples,
+            threshold: float, tolerance: float) -> list[VerificationEntry]:
+    """The entries of verify for |A|^2 on grid, where samples(start, stop)
+    returns the samples at grid indices [start, stop); it is asked for the
+    windows the grid covers and nothing else."""
     entries = []
     for pred in predictions:
-        span = _search_window(pred, signal.t0, signal.dt, signal.values.size)
-        window = None if span is None else signal.window(*span)
+        span = _window_range(pred, grid)
+        window = None if span is None else Signal(grid.t0 + grid.dt * span[0], grid.dt,
+                                                  samples(*span))
         entries.append(_judge(pred, window, threshold, tolerance))
     return entries

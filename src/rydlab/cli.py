@@ -13,7 +13,8 @@ first write that needs it.  `predict` calls float.__repr__ itself: its b
 lists are at most q long, and loading the formatter there would only add
 import time.  Identical flags produce byte-identical output, whatever the
 chunk size.  `verify` evaluates only the windows t_sr/q +- t_rev it
-searches, each bitwise as on the whole grid from t = 0.
+searches, each bitwise as on the whole grid from t = 0, and judges them
+through the loop of rydlab.verify (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -82,6 +83,13 @@ MAX_Q = 10**6
 # `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577 (220 MB peak RSS:
 # there the 32-row product is half the tables, and |A|^2 is squared from it).
 MAX_KERNEL_BYTES = 1 << 27
+
+# Largest |time| a command takes, in seconds: the grid ends of `autocorr`
+# and the time of `slice`.  The kernel splits every time in atomic units by
+# the Veltkamp factor 2**27 + 1 (_ddmath.two_prod), which overflows past
+# ~1.3e300 a.u. (3.2e283 s); long before that, at ~1e200 s, the phases have
+# no fractional bits left.
+MAX_SECONDS = 1e280
 
 # Rows evaluated, formatted and written at a time.
 CHUNK_ROWS = 1 << 14
@@ -168,6 +176,12 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
         parser.error(str(exc))
 
 
+def _check_seconds(parser: argparse.ArgumentParser, flag: str, value: float) -> None:
+    """Usage error unless the time flag is finite and within +-MAX_SECONDS."""
+    if not abs(value) <= MAX_SECONDS:
+        parser.error(f"{flag} must be finite and within +-{MAX_SECONDS:g} s, got {value}")
+
+
 def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
     """Usage error when the kernel tables for coeffs on a count-point grid
     would pass MAX_KERNEL_BYTES."""
@@ -229,6 +243,8 @@ def cmd_autocorr(parser, args) -> int:
     spec = _atom_spec(parser, args)
     if not 1 <= args.samples <= MAX_SAMPLES:
         parser.error(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
+    _check_seconds(parser, "--tmin", args.tmin)
+    _check_seconds(parser, "--tmax", args.tmax)
     if args.tmax < args.tmin:
         parser.error(f"--tmax ({args.tmax}) must be >= --tmin ({args.tmin})")
     if args.samples > 1 and args.tmax == args.tmin:
@@ -265,6 +281,7 @@ def cmd_slice(parser, args) -> int:
     spec = _atom_spec(parser, args)
     if not 1 <= args.points <= MAX_SAMPLES:
         parser.error(f"--points must be in [1, {MAX_SAMPLES}], got {args.points}")
+    _check_seconds(parser, "--t", args.t)
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
@@ -290,8 +307,8 @@ def cmd_slice(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     import json
 
-    from .analysis import _judge, _search_window
-    from .autocorr import PhaseModel, Signal, TimeGrid, _a2_chunks, _window_indices
+    from .analysis import _verify, _window_range
+    from .autocorr import PhaseModel, TimeGrid, _a2_chunks
     from .packet import gaussian_packet
     from .spectrum import timescales
 
@@ -314,30 +331,22 @@ def cmd_verify(parser, args) -> int:
         )
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
-    ranges = []  # per prediction, the index range [start, stop) of its window
     for pred in preds:
-        span = _search_window(pred, grid.t0, grid.dt, grid.count)
+        span = _window_range(pred, grid)
         if span is None:
-            ranges.append(None)
             continue
-        first, last = _window_indices(grid.t0, grid.dt, grid.count, *span)
-        if last + 1 - first > MAX_SAMPLES:
+        if span[1] - span[0] > MAX_SAMPLES:
             parser.error(
-                f"verify would hold {last + 1 - first} samples in the window at "
+                f"verify would hold {span[1] - span[0]} samples in the window at "
                 f"t_sr/{pred.q}, more than the {MAX_SAMPLES} sample budget; use "
                 "smaller --nbar"
             )
+        # The tables depend on the grid only, so the first covered window's
+        # check decides; it follows that window's sample budget check.
         _check_kernel(parser, coeffs, grid.count)
-        ranges.append((first, last + 1))
     model = PhaseModel(args.model)
-    entries = []
-    for pred, window_range in zip(preds, ranges):
-        window = None
-        if window_range is not None:
-            start, stop = window_range
-            values = next(_a2_chunks(coeffs, model, spec, grid, start, stop, stop - start))
-            window = Signal(t0=grid.t0 + grid.dt * start, dt=grid.dt, values=values)
-        entries.append(_judge(pred, window, args.threshold, args.tolerance))
+    entries = _verify(preds, grid, lambda start, stop: next(_a2_chunks(
+        coeffs, model, spec, grid, start, stop, stop - start)), args.threshold, args.tolerance)
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {

@@ -211,15 +211,24 @@ def test_verify_320_passes(capsys):
     assert all(e["status"] == "pass" for e in record["entries"])
 
 
-def test_verify_320_all_five_windows(capsys):
-    """Explicit q list: every predicted window checks out."""
+@pytest.mark.parametrize("model", ["exact", "order3", "order2"])
+def test_verify_320_all_five_windows(model, capsys):
+    """Explicit q list: every predicted window checks out under the exact
+    and third-order phases.  The second-order phases miss the cubic term
+    that sets t_sr, so their combs drift off the predicted windows and the
+    run fails: the negative control of the README's reproduction path."""
     rc, record = run_json(
         capsys,
-        ["verify", "--nbar", "320", "--sigma", "2.5",
+        ["verify", "--nbar", "320", "--sigma", "2.5", "--model", model,
          "--q", "36", "--q", "18", "--q", "12", "--q", "9", "--q", "6"],
     )
-    assert rc == 0
     assert [e["q"] for e in record["entries"]] == [36, 18, 12, 9, 6]
+    if model == "order2":
+        assert rc == 1
+        assert record["result"] == "fail"
+        assert [e["q"] for e in record["entries"] if e["status"] == "fail"] == [36, 18, 9]
+        return
+    assert rc == 0
     assert all(e["status"] == "pass" for e in record["entries"])
     assert all(e["deviation"] < 0.10 for e in record["entries"])
 
@@ -373,6 +382,35 @@ def test_verify_windows_match_the_full_grid(nbar, model, capsys):
         assert (rc, capsys.readouterr().out.encode()) == full_grid_verify(argv, signals)
 
 
+def test_verify_evaluates_only_its_windows(monkeypatch, capsys):
+    """`verify` asks the kernel once per covered window, for the index range
+    that Signal.window selects on the full grid, and never for the window of
+    q = 39, which starts before t = 0 at nbar = 48."""
+    calls = []
+    kernel = rydlab.autocorr._a2_chunks
+
+    def recorded(coeffs, model, spec, grid, start, stop, size):
+        calls.append((start, stop))
+        return kernel(coeffs, model, spec, grid, start, stop, size)
+
+    monkeypatch.setattr("rydlab.autocorr._a2_chunks", recorded)
+    argv = ["verify", "--nbar", "48", "--sigma", "1.5", "--q", "39", "--q", "12", "--q", "6"]
+    main(argv)
+    capsys.readouterr()
+    args = build_parser().parse_args(argv)
+    spec = AtomSpec(nbar=args.nbar, sigma=args.sigma)
+    dt = timescales(spec).t_cl / cli.SAMPLES_PER_CLASSICAL_PERIOD
+    full = Signal(0.0, dt, np.zeros(full_grid_count(args)))
+    windows = []
+    for pred in rydlab.prediction_table(spec, [12, 6]):
+        t_rev = pred.periodicity * pred.q / 3.0
+        window = full.window(pred.time_center - t_rev, pred.time_center + t_rev)
+        start = round(window.t0 / dt)
+        assert window.t0 == dt * start
+        windows.append((start, start + window.values.size))
+    assert calls == windows
+
+
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
     """A q past MAX_Q (l <= q weights) exits 2 with nothing written, before
@@ -440,6 +478,31 @@ def test_non_finite_slice_is_usage_error_before_any_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["autocorr", "--tmin", "1e290", "--tmax", "1e290", "--samples", "1"],
+    ["autocorr", "--tmin", "0", "--tmax", "inf", "--samples", "1"],
+    ["autocorr", "--tmin", "nan", "--tmax", "0", "--samples", "1"],
+    ["slice", "--t", "inf"],
+    ["slice", "--t", "1e300"],
+], ids=["tmin-1e290", "tmax-inf", "tmin-nan", "t-inf", "t-1e300"])
+def test_time_past_the_bound_is_usage_error_before_any_output(argv, capsys):
+    """A time flag that is not finite or past MAX_SECONDS exits 2 with
+    nothing written and no warning: past ~3e283 s the double-double split
+    of the time overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--nbar", "48", "--sigma", "1.5", *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *usage, error = captured.err.splitlines()
+    assert usage[0].startswith(f"usage: rydlab {argv[0]} ")
+    assert all(line.startswith(" ") for line in usage[1:])
+    assert error.startswith(f"rydlab {argv[0]}: error: --t")
+    assert f"must be finite and within +-{cli.MAX_SECONDS:g} s" in error
 
 
 HUGE_NBAR_COMMANDS = {
