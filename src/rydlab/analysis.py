@@ -122,9 +122,8 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     if v.size < 3 or float(v.max()) <= 0.0:
         return PeakTrain(np.array([]), np.array([]))
     level = threshold * float(v.max())
-    interior = np.arange(1, v.size - 1)
-    is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
-    candidates = interior[is_max & (v[interior] >= level)]
+    mid = v[1:-1]
+    candidates = np.flatnonzero((mid > v[:-2]) & (mid >= v[2:]) & (mid >= level)) + 1
     # tallest-first greedy selection under the separation constraint
     order = candidates[np.lexsort((candidates, -v[candidates]))]
     kept: list[int] = []

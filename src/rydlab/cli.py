@@ -5,18 +5,20 @@ units and data files carry both.  Every command writes through one
 streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
 of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
 weight list b the same way, each chunk written before the next is formed,
-so memory does not grow with the size of the text.  CSV fields are the
-bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so are
-the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
-float.__repr__(x) (rydlab._reprformat); each module is imported on the
-first write that needs it.  `predict` calls float.__repr__ itself: its b
-lists are at most q long, and loading the formatter there would only add
-import time.  Identical flags produce byte-identical output, whatever the
-chunk size.  `verify` evaluates only the windows t_sr/q +- t_rev it
-searches, each bitwise as on the whole grid from t = 0, and judges them
-through the loop of rydlab.verify (analysis._verify).
+so memory does not grow with the size of the text.  json.dumps lays out
+every JSON document (_json); only the items of its arrays are streamed
+into that layout.  CSV fields are the bytes of '%.11e' % x, formatted in
+numpy (rydlab._sciformat), and so are the numbers of the `autocorr` and
+`slice` JSON arrays, the bytes of float.__repr__(x) (rydlab._reprformat);
+each module is imported by the command that writes it.  `predict` calls
+float.__repr__ itself: its b lists are at most q long, and loading the
+formatter there would only add import time.  Identical flags produce
+byte-identical output, whatever the chunk size.  `verify` evaluates only
+the windows t_sr/q +- t_rev it searches, each bitwise as on the whole grid
+from t = 0, and judges them through the loop of rydlab.verify
+(analysis._verify).
 A process imports only the layers its command runs: this module imports
-the argparse stack only (argparse, gc, math, os, sys), each function
+the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
 parser builds the flags of the command being run only.  So `predict` loads
 spectrum and superrevival, and `rydlab --help` loads no rydlab layer, no
@@ -36,6 +38,7 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
 
 # typing.TYPE_CHECKING, which type checkers recognise by its name: where site
@@ -75,13 +78,13 @@ MAX_Q = 10**6
 # Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
 # the kernel holds V, one 32-row slab of U and its product, K*(B + 32) + 32*B
 # complex values with B = isqrt(N), whatever range it evaluates
-# (autocorr._kernel_bytes), and forms them in cache-sized tiles, so a request
-# peaks near its tables: 162 MB peak RSS for 134 MB at sigma = 10^3 on a
-# 2-vCPU Xeon.  It binds for wide packets, and for `verify` at large nbar
-# (B grows as nbar): 37 terms at 10^7 samples hold 3.5 MB, sigma = 10^3
-# (14,263 terms at nbar = 10^6) is admitted up to 308,024 samples, and
-# `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577 (220 MB peak RSS:
-# there the 32-row product is half the tables, and |A|^2 is squared from it).
+# (autocorr._kernel_bytes), forms them in cache-sized tiles and squares the
+# product in place, so a request peaks near its tables: 162 MB peak RSS for
+# 134 MB at sigma = 10^3 on a 2-vCPU Xeon.  It binds for wide packets, and
+# for `verify` at large nbar (B grows as nbar): 37 terms at 10^7 samples hold
+# 3.5 MB, sigma = 10^3 (14,263 terms at nbar = 10^6) is admitted up to
+# 308,024 samples, and `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577
+# (173 MB peak RSS, where the 32-row product is half the tables).
 MAX_KERNEL_BYTES = 1 << 27
 
 # Largest |time| a command takes, in seconds: the grid ends of `autocorr`
@@ -90,6 +93,11 @@ MAX_KERNEL_BYTES = 1 << 27
 # ~1.3e300 a.u. (3.2e283 s); long before that, at ~1e200 s, the phases have
 # no fractional bits left.
 MAX_SECONDS = 1e280
+
+# A token that starts with "-" and matches this is a value, not an option.
+# argparse's own pattern has no exponent, so it would read `--t -1e-9` as a
+# flag without its value, although `--t=-1e-9` parses.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 # Rows evaluated, formatted and written at a time.
 CHUNK_ROWS = 1 << 14
@@ -113,31 +121,37 @@ def _csv(columns: dict):
         yield from csv_rows(chunk)
 
 
-def _json(scalars: dict, columns: dict):
-    """json.dumps({**scalars, **columns}, indent=2) + "\n" in pieces, each
-    column an iterable of chunks (arrays of finite floats) streamed in turn,
-    every number the bytes of float.__repr__(x)."""
+# The list entry json.dumps writes as "\u0000", which no record value holds:
+# _json streams an array's items in its place.
+_ITEMS = "\0"
+
+
+def _json(record: dict, arrays) -> Iterator[str]:
+    """json.dumps(record, indent=2) + "\n" in pieces, where the n-th list
+    [_ITEMS] in the text holds the items of arrays[n], an iterable of text
+    pieces that lead every item with ",\n" and its indent."""
     import json
+
+    *heads, tail = (json.dumps(record, indent=2) + "\n").split(json.dumps(_ITEMS))
+    for head, items in zip(heads, arrays, strict=True):
+        # the placeholder's line break and indent go, and the first item's comma
+        yield head.rstrip()
+        for n, piece in enumerate(items):
+            yield piece if n else piece[1:]
+    yield tail
+
+
+def _json_columns(scalars: dict, columns: dict) -> Iterator[str]:
+    """_json of scalars and one array per float column (an iterable of
+    chunks of finite floats), every number the bytes of float.__repr__(x)."""
+    from itertools import chain
 
     # Imported here, so that commands that write no JSON column neither
     # compile it nor build its tables.
     from ._reprformat import json_values
 
-    sep = "{\n"
-    for key, value in scalars.items():
-        yield f"{sep}  {json.dumps(key)}: {json.dumps(value)}"
-        sep = ",\n"
-    for key, chunks in columns.items():
-        yield f"{sep}  {json.dumps(key)}: ["
-        # every value comes after ",\n    "; the first one's comma goes
-        first = True
-        for chunk in chunks:
-            for piece in json_values(chunk):
-                yield piece[1:] if first else piece
-                first = False
-        yield "\n  ]"
-        sep = ",\n"
-    yield "\n}\n"
+    arrays = [chain.from_iterable(map(json_values, chunks)) for chunks in columns.values()]
+    return _json({**scalars, **dict.fromkeys(columns, [_ITEMS])}, arrays)
 
 
 def _write(parser: argparse.ArgumentParser, out_path: str | None, pieces) -> None:
@@ -200,29 +214,19 @@ def _predict_json(head: dict, preds) -> Iterator[str]:
     """json.dumps({**head, "predictions": [p.to_dict() for p in preds]},
     indent=2) + "\n" in pieces, each prediction's b streamed as CHUNK_ROWS
     [re, im] pairs per format call instead of held as nested lists."""
-    import json
     from dataclasses import replace
     from itertools import chain
 
-    yield "{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items())
-    yield '  "predictions": ['
     pair = ",\n        [\n          %s,\n          %s\n        ]"
-    for n, p in enumerate(preds):
-        yield ",\n    {" if n else "\n    {"
-        # to_dict of a copy without weights: every other field, in order
-        for m, (key, value) in enumerate(replace(p, b=p.b[:0]).to_dict().items()):
-            yield f"{',' if m else ''}\n      {json.dumps(key)}: "
-            if key != "b":
-                yield json.dumps(value)
-                continue
-            yield "["
-            for lo, hi in _chunks(p.b.size):
-                pairs = zip(p.b.real[lo:hi].tolist(), p.b.imag[lo:hi].tolist())
-                text = (pair * (hi - lo)) % tuple(map(float.__repr__, chain.from_iterable(pairs)))
-                yield text if lo else text[1:]
-            yield "\n      ]"
-        yield "\n    }"
-    yield "\n  ]\n}\n"
+
+    def pairs(b):
+        for lo, hi in _chunks(b.size):
+            parts = zip(b.real[lo:hi].tolist(), b.imag[lo:hi].tolist())
+            yield (pair * (hi - lo)) % tuple(map(float.__repr__, chain.from_iterable(parts)))
+
+    # to_dict of a copy without weights: every other field, in order
+    predictions = [{**replace(p, b=p.b[:0]).to_dict(), "b": [_ITEMS]} for p in preds]
+    return _json({**head, "predictions": predictions}, (pairs(p.b) for p in preds))
 
 
 def cmd_predict(parser, args) -> int:
@@ -267,7 +271,7 @@ def cmd_autocorr(parser, args) -> int:
         "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)) for lo, hi in parts),
         "a2": (_check_a2(values) for values in a2),
     }
-    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json({}, columns))
+    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json_columns({}, columns))
     return 0
 
 
@@ -300,13 +304,12 @@ def cmd_slice(parser, args) -> int:
         "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]) for lo, hi in parts),
     }
     scalars = {"t_si": args.t, "r_au": result.r}
-    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json(scalars, columns))
+    text = _csv(columns) if args.format == "csv" else _json_columns(scalars, columns)
+    _write(parser, args.out, text)
     return 0
 
 
 def cmd_verify(parser, args) -> int:
-    import json
-
     from .analysis import _verify, _window_range
     from .autocorr import PhaseModel, TimeGrid, _a2_chunks
     from .packet import gaussian_packet
@@ -357,7 +360,7 @@ def cmd_verify(parser, args) -> int:
         "result": "pass" if all_pass else "fail",
         "entries": [e.to_dict() for e in entries],
     }
-    _write(parser, args.out, [json.dumps(record, indent=2) + "\n"])
+    _write(parser, args.out, _json(record, ()))
     return 0 if all_pass else 1
 
 
@@ -434,6 +437,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("verify", "simulate, measure, and check predictions", _verify_flags, cmd_verify),
     ):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if command in (None, name):
             _atom_flags(p)
             add_flags(p)

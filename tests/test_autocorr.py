@@ -364,33 +364,41 @@ def test_formation_tile_size_cannot_change_a_bit(entries, late_grid_640, monkeyp
     assert np.array_equal(kernel_outputs(coeffs, spec, grid), single_shot)
 
 
-@pytest.mark.parametrize("evaluate, count", [
-    pytest.param("autocorrelation", 4096, id="autocorrelation"),
-    pytest.param("angular_slice", 4096, id="angular_slice"),
-    pytest.param("autocorrelation", 20_000, id="autocorrelation-20000"),
+@pytest.mark.parametrize("evaluate, sigma, count", [
+    pytest.param("autocorrelation", 1e3, 4096, id="autocorrelation"),
+    pytest.param("angular_slice", 1e3, 4096, id="angular_slice"),
+    pytest.param("autocorrelation", 1e3, 20_000, id="autocorrelation-20000"),
+    pytest.param("window", 2.5, 10**9, id="verify-window"),
 ])
-def test_formation_memory_stays_near_the_tables(evaluate, count):
+def test_formation_memory_stays_near_the_tables(evaluate, sigma, count):
     """At sigma = 1e3 (14,263 terms) the traced peak stays within 1.25x the
     tables the kernel holds, V, one 32-row slab of U and its product,
     K*(B + 32) + 32*B complex values with B = isqrt(count) (22 MB at 4096
     points), plus the output; forming the tables as whole arrays peaked at
     2.7x.  At 2x10^4 samples holding every row of U the range touches
-    (160 rows, more than V's 141 columns) peaked at 1.8x."""
-    spec = AtomSpec(1e6, 1e3)
+    (160 rows, more than V's 141 columns) peaked at 1.8x.  A `verify`
+    window on a 10^9-point grid at sigma = 2.5 (37 terms, B = 31,622) forms
+    one product, about half the tables, for 2,000 samples: squaring it into
+    new arrays peaked at 1.47x."""
+    spec = AtomSpec(1e6, sigma)
     coeffs = gaussian_packet(spec)
     terms, block = coeffs.offsets.size, math.isqrt(count)
     tables = (terms * (block + 32) + 32 * block) * 16
     assert tables == _kernel_bytes(terms, count)
-    assert terms == 14_263 and tables > 20e6
+    assert terms == {1e3: 14_263, 2.5: 37}[sigma] and tables > 20e6
     ts = timescales(spec)
     tracemalloc.start()
     try:
         if evaluate == "autocorrelation":
             values = autocorrelation(coeffs, PhaseModel.EXACT, spec,
                                      TimeGrid(ts.t_rev, ts.t_cl / 20.0, count)).values
-        else:
+        elif evaluate == "angular_slice":
             values = angular_slice(coeffs, spec, ts.t_rev,
                                    AngularGrid(0.0, 2.0 * math.pi / count, count)).values
+        else:
+            grid, start = TimeGrid(0.0, ts.t_cl / 20.0, count), count // 3
+            values = next(_a2_chunks(coeffs, PhaseModel.EXACT, spec, grid,
+                                     start, start + 2000, 2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -505,6 +505,25 @@ def test_time_past_the_bound_is_usage_error_before_any_output(argv, capsys):
     assert f"must be finite and within +-{cli.MAX_SECONDS:g} s" in error
 
 
+@pytest.mark.parametrize("base, flag, value", [
+    (["slice", "--points", "8"], "--t", "-1e-9"),
+    (["slice", "--points", "8", "--format", "json"], "--t", "-2.5E-10"),
+    (["autocorr", "--tmax", "1e-9", "--samples", "8"], "--tmin", "-1e-9"),
+    (["autocorr", "--tmin=-3e-9", "--samples", "8"], "--tmax", "-.5e-9"),
+    (["autocorr", "--tmin=-3e-9", "--samples", "8"], "--tmax", "-1.e-9"),
+])
+def test_negative_time_in_scientific_notation_is_a_value(base, flag, value, capsys):
+    """`--t -1e-9` parses as `--t=-1e-9`: argparse reads a token that starts
+    with "-" as an option unless it looks like a negative number, and its
+    own pattern for one has no exponent."""
+    argv = [base[0], "--nbar", "48", "--sigma", "1.5", *base[1:]]
+    assert main([*argv, f"{flag}={value}"]) == 0
+    want = capsys.readouterr()
+    assert want.out and not want.err
+    assert main([*argv, flag, value]) == 0
+    assert capsys.readouterr() == want
+
+
 HUGE_NBAR_COMMANDS = {
     "predict": ["predict", "--q", "6"],
     "verify": ["verify", "--q", "6"],
@@ -817,8 +836,9 @@ def repr_json(values: np.ndarray) -> str:
 
 
 def vectorised_json(values: np.ndarray) -> str:
-    """cli._json of the same values, fed in CHUNK_ROWS chunks."""
-    return "".join(cli._json({}, {"c": [values[lo:hi] for lo, hi in cli._chunks(len(values))]}))
+    """cli._json_columns of the same values, fed in CHUNK_ROWS chunks."""
+    chunks = [values[lo:hi] for lo, hi in cli._chunks(len(values))]
+    return "".join(cli._json_columns({}, {"c": chunks}))
 
 
 def hard_json_values() -> np.ndarray:
