@@ -239,4 +239,5 @@ def _verify(predictions: list[SuperrevivalPrediction], grid: TimeGrid, samples,
         window = None if span is None else Signal(grid.t0 + grid.dt * span[0], grid.dt,
                                                   samples(*span))
         entries.append(_judge(pred, window, threshold, tolerance))
+        del window  # not held while the next window is evaluated
     return entries

@@ -26,9 +26,9 @@ and B = isqrt(count),
 
 so a grid of N samples and K terms costs K*(N/B + B) complex exponentials
 and one K-deep complex matrix product.  Samples sit at the exact grid times
-t0 + dt*i, not at the rounded floats of TimeGrid.times.  Blocks are anchored
-on the global index i, so any global index range of a grid evaluates to
-bitwise the same samples as the full run.  |A|^2 takes w_k = p_k.
+t0 + dt*i, not at the rounded floats of TimeGrid.times.  The kernel of a
+grid (_Kernel) forms its tables once and serves any global index range from
+them, bitwise the same samples as the full run.  |A|^2 takes w_k = p_k.
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ _GEMM_ROWS = 32
 
 
 def _kernel_bytes(terms: int, count: int) -> int:
-    """Bytes of the tables _amplitude_chunks holds for `terms` terms on a
-    count-point grid, whatever the index range: V, K*B complex values with
-    B = isqrt(count), one slab of U, K*_GEMM_ROWS, and its product,
-    _GEMM_ROWS*B."""
+    """Bytes of the tables a _Kernel holds for `terms` terms on a count-point
+    grid: V, K*B complex values with B = isqrt(count), one slab of U,
+    K*_GEMM_ROWS, and its product, _GEMM_ROWS*B.  They are formed once per
+    grid and serve any index range, so the size depends on the grid only."""
     block = math.isqrt(count)
     return (terms * (block + _GEMM_ROWS) + _GEMM_ROWS * block) * np.dtype(complex).itemsize
 
@@ -226,54 +226,47 @@ def _tiles(rows: int, cols: int):
             yield slice(r, r + height), slice(c, c + width)
 
 
-def _amplitude_chunks(
-    weights: np.ndarray,
-    rate,
-    x0: float,
-    dx: float,
-    count: int,
-    start: int,
-    stop: int,
-    size: int,
-    squared: bool = False,
-):
-    """sum_k weights[k] exp(-2*pi*i frac(rate_k x)) at the exact points
-    x = x0 + dx*i, i in [start, stop), of a count-point grid, yielded as
-    consecutive arrays of `size` samples (the last may be shorter); with
-    squared, re^2 + im^2 of each product instead.
+class _Kernel:
+    """The amplitude kernel of one count-point grid x = x0 + dx*i: evaluate
+    gives sum_k weights[k] exp(-2*pi*i frac(rate_k x)) over any index
+    range, or with squared re^2 + im^2 of each product.
 
-    V is formed once, and each product of _GEMM_ROWS rows once, from a
+    V is formed once per grid, and each product of _GEMM_ROWS rows from a
     slab of U formed just before it, into one buffer where it is also
     squared, so memory is V, one slab of U and the product (_kernel_bytes)
-    plus the chunk, whatever the range, and any partition of [0, count)
-    and any chunk size reproduce the full run bitwise.  U and V are formed in tiles of _FORM_ENTRIES entries, so the
-    peak stays near the tables themselves: 1.10x at sigma = 1e3 on a
-    4096-point grid.
+    plus the samples asked for, and any partition of [0, count) reproduces
+    the full run bitwise.  U and V are formed in tiles of _FORM_ENTRIES
+    entries, so the peak stays near the tables themselves: 1.10x at
+    sigma = 1e3 on a 4096-point grid.
     """
-    if not 0 <= start < stop <= count:
-        raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
-    block = math.isqrt(count)
-    per_sample = dd.dd_mul_f(rate, dx)
-    at_x0 = dd.dd_mul_f(rate, x0)
-    per_row = dd.dd_mul_f(per_sample, float(block))
-    u = np.empty((_GEMM_ROWS, weights.size), dtype=complex)
-    v = np.empty((weights.size, block), dtype=complex)
-    m = np.arange(block, dtype=float)
-    for r, c in _tiles(*v.shape):
-        col_rate = (per_sample[0][r, None], per_sample[1][r, None])
-        np.exp(-2j * np.pi * dd.dd_frac(dd.dd_mul_f(col_rate, m[c])), out=v[r, c])
-    # the product, formed and squared in place; allocated once V is formed,
-    # so that it is not held alongside V's formation temporaries
-    prod = np.empty((_GEMM_ROWS, block), dtype=complex)
-    flat = prod.reshape(-1)
-    held = flat.real if squared else flat
-    span = _GEMM_ROWS * block  # samples per product
-    formed = -1  # first sample of the product held
-    for lo in range(start, stop, size):
-        hi = min(lo + size, stop)
-        out = np.empty(hi - lo, dtype=float if squared else complex)
-        for first in range(lo // span * span, hi, span):
-            if first != formed:
+
+    def __init__(self, weights, rate, x0: float, dx: float, count: int, squared=False):
+        self.weights, self.count, self.squared = weights, count, squared
+        self.block = block = math.isqrt(count)
+        per_sample = dd.dd_mul_f(rate, dx)
+        self.at_x0 = dd.dd_mul_f(rate, x0)
+        self.per_row = dd.dd_mul_f(per_sample, float(block))
+        self.u = np.empty((_GEMM_ROWS, weights.size), dtype=complex)
+        self.v = v = np.empty((weights.size, block), dtype=complex)
+        m = np.arange(block, dtype=float)
+        for r, c in _tiles(*v.shape):
+            col_rate = (per_sample[0][r, None], per_sample[1][r, None])
+            np.exp(-2j * np.pi * dd.dd_frac(dd.dd_mul_f(col_rate, m[c])), out=v[r, c])
+        # the product, formed and squared in place; allocated once V is formed,
+        # so that it is not held alongside V's formation temporaries
+        self.prod = np.empty((_GEMM_ROWS, block), dtype=complex)
+        self.formed = -1  # first sample of the product held
+
+    def evaluate(self, start: int, stop: int) -> np.ndarray:
+        """The samples at grid indices [start, stop), in a new array."""
+        _check_range(start, stop, self.count)
+        u, at_x0, per_row, block = self.u, self.at_x0, self.per_row, self.block
+        flat = self.prod.reshape(-1)
+        held = flat.real if self.squared else flat
+        out = np.empty(stop - start, dtype=float if self.squared else complex)
+        span = _GEMM_ROWS * block  # samples per product
+        for first in range(start // span * span, stop, span):
+            if first != self.formed:
                 j = np.arange(first // block, first // block + _GEMM_ROWS, dtype=float)[:, None]
                 for r, c in _tiles(*u.shape):
                     cycles = dd.dd_frac(dd.dd_add(
@@ -283,44 +276,53 @@ def _amplitude_chunks(
                     np.exp(-2j * np.pi * cycles, out=u[r, c])
                 # the weights in one product over the slab: numpy rounds a complex
                 # product differently when a tile one entry wide broadcasts an operand
-                np.multiply(weights, u, out=u)
-                np.matmul(u, v, out=prod)
-                if squared:
+                np.multiply(self.weights, u, out=u)
+                np.matmul(u, self.v, out=self.prod)
+                if self.squared:
                     np.square(flat.real, out=flat.real)
                     np.square(flat.imag, out=flat.imag)
                     np.add(flat.real, flat.imag, out=flat.real)
-                formed = first
-            a, b = max(lo, first), min(hi, first + span)
-            out[a - lo : b - lo] = held[a - first : b - first]
-        yield out
+                self.formed = first
+            a, b = max(start, first), min(stop, first + span)
+            out[a - start : b - start] = held[a - first : b - first]
+        return out
+
+    def chunks(self, start: int, stop: int, size: int):
+        """evaluate over [start, stop) as consecutive arrays of `size`
+        samples (the last may be shorter)."""
+        _check_range(start, stop, self.count)
+        for lo in range(start, stop, size):
+            yield self.evaluate(lo, min(lo + size, stop))
 
 
-def _a2_chunks(
-    coeffs: CoefficientSet,
-    model: PhaseModel,
-    spec: AtomSpec,
-    grid: TimeGrid,
-    start: int,
-    stop: int,
-    size: int,
-):
-    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), in
-    chunks of `size` samples: the amplitude kernel with weights p_k."""
+def _check_range(start: int, stop: int, count: int) -> None:
+    if not 0 <= start < stop <= count:
+        raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
+
+
+def _amplitude_chunks(weights, rate, x0, dx, count, start, stop, size, squared=False):
+    """The samples of one _Kernel at indices [start, stop), in chunks of `size`."""
+    return _Kernel(weights, rate, x0, dx, count, squared).chunks(start, stop, size)
+
+
+def _a2_kernel(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
+               grid: TimeGrid) -> _Kernel:
+    """The kernel of |A|^2 at the exact grid times t0 + dt*i: weights p_k."""
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
-    return _amplitude_chunks(coeffs.probabilities, rate, grid.t0, grid.dt, grid.count,
-                             start, stop, size, squared=True)
+    return _Kernel(coeffs.probabilities, rate, grid.t0, grid.dt, grid.count, squared=True)
+
+
+def _a2_chunks(coeffs, model, spec, grid, start: int, stop: int, size: int):
+    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), in
+    chunks of `size` samples."""
+    return _a2_kernel(coeffs, model, spec, grid).chunks(start, stop, size)
 
 
 def autocorrelation(
     coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec, grid: TimeGrid
 ) -> Signal:
-    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i.
-
-    Cost for N = grid.count samples and K terms: K*(N/B + B) complex
-    exponentials with B = isqrt(N), plus one K-deep complex matrix product.
-    Blocks are anchored on the global sample index, so evaluating any
-    partition of [0, N) into index ranges with _a2_chunks yields bitwise
-    the same samples.
-    """
-    values = next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
+    """Evaluate |A(t)|^2 at the exact grid times t0 + dt*i: one run of the
+    grid's kernel, whose cost the module docstring gives.  Any partition of
+    the grid into index ranges of _a2_kernel yields bitwise these samples."""
+    values = _a2_kernel(coeffs, model, spec, grid).evaluate(0, grid.count)
     return Signal(t0=grid.t0, dt=grid.dt, values=values)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ddmath as dd
-from .autocorr import PhaseModel, _amplitude_chunks, phase_cycles
+from .autocorr import PhaseModel, _Kernel, phase_cycles
 from .packet import CoefficientSet
 from .spectrum import AtomSpec
 
@@ -125,8 +125,7 @@ def angular_slice(
     weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
     m = spec.nbar + coeffs.offsets - 1.0
     rate = dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
-    values = next(_amplitude_chunks(weights, rate, grid.phi0, grid.dphi, grid.count,
-                                    0, grid.count, grid.count))
+    values = _Kernel(weights, rate, grid.phi0, grid.dphi, grid.count).evaluate(0, grid.count)
     return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=values, t=t, r=r)
 
 

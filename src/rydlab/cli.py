@@ -14,9 +14,10 @@ each module is imported by the command that writes it.  `predict` calls
 float.__repr__ itself: its b lists are at most q long, and loading the
 formatter there would only add import time.  Identical flags produce
 byte-identical output, whatever the chunk size.  `verify` evaluates only
-the windows t_sr/q +- t_rev it searches, each bitwise as on the whole grid
-from t = 0, and judges them through the loop of rydlab.verify
-(analysis._verify).
+the windows t_sr/q +- t_rev it searches, bitwise as on the whole grid from
+t = 0, with one kernel whose tables it forms at the first window and frees
+before it judges the last, and judges them through the loop of
+rydlab.verify (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -77,22 +78,28 @@ MAX_Q = 10**6
 
 # Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
 # the kernel holds V, one 32-row slab of U and its product, K*(B + 32) + 32*B
-# complex values with B = isqrt(N), whatever range it evaluates
-# (autocorr._kernel_bytes), forms them in cache-sized tiles and squares the
-# product in place, so a request peaks near its tables: 162 MB peak RSS for
-# 134 MB at sigma = 10^3 on a 2-vCPU Xeon.  It binds for wide packets, and
-# for `verify` at large nbar (B grows as nbar): 37 terms at 10^7 samples hold
-# 3.5 MB, sigma = 10^3 (14,263 terms at nbar = 10^6) is admitted up to
-# 308,024 samples, and `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577
-# (173 MB peak RSS, where the 32-row product is half the tables).
+# complex values with B = isqrt(N) (autocorr._kernel_bytes), formed once per
+# grid for any range it evaluates (every window of `verify`) in cache-sized
+# tiles, and it squares the product in place, so a request peaks near its
+# tables: 162 MB peak RSS for 134 MB at sigma = 10^3 on a 2-vCPU Xeon.  It
+# binds for wide packets, and for `verify` at large nbar (B grows as nbar):
+# 37 terms at 10^7 samples hold 3.5 MB, sigma = 10^3 (14,263 terms at
+# nbar = 10^6) is admitted up to 308,024 samples, and `verify` at sigma = 2.5
+# and q = 3 up to nbar = 66,577 (173 MB peak RSS, where the 32-row product is
+# half the tables).
 MAX_KERNEL_BYTES = 1 << 27
 
 # Largest |time| a command takes, in seconds: the grid ends of `autocorr`
 # and the time of `slice`.  The kernel splits every time in atomic units by
 # the Veltkamp factor 2**27 + 1 (_ddmath.two_prod), which overflows past
-# ~1.3e300 a.u. (3.2e283 s); long before that, at ~1e200 s, the phases have
-# no fractional bits left.
+# ~1.3e300 a.u. (3.2e283 s).  This check runs first; then a time is refused
+# where the largest phase the kernel reduces, max_k |nu_k t|, passes the
+# 2^53-cycle floor: past it the ~106-bit double-double phase keeps fewer
+# fractional bits than a double holds in [0, 1) (at nbar = 48, 3e-12 off a
+# 40-digit sum at 2^70 cycles, 2e-2 at 2^100).  `verify`'s kernel budget
+# keeps its grid below 2^49 cycles (below 1.4e10 for sigma <= 2.5).
 MAX_SECONDS = 1e280
+_MAX_CYCLES = 2**53
 
 # A token that starts with "-" and matches this is a value, not an option.
 # argparse's own pattern has no exponent, so it would read `--t -1e-9` as a
@@ -196,6 +203,20 @@ def _check_seconds(parser: argparse.ArgumentParser, flag: str, value: float) -> 
         parser.error(f"{flag} must be finite and within +-{MAX_SECONDS:g} s, got {value}")
 
 
+def _check_cycles(parser: argparse.ArgumentParser, coeffs, spec, model: str, times) -> None:
+    """Usage error when the largest phase max_k |nu_k t| under model passes
+    _MAX_CYCLES at a time of `times` (flag -> seconds)."""
+    from .autocorr import PhaseModel, _cycle_rates
+    from .spectrum import from_si
+
+    fastest = float(abs(_cycle_rates(PhaseModel(model), spec.nstar, coeffs.offsets)[0]).max())
+    for flag, value in times.items():
+        cycles = fastest * abs(from_si(value))
+        if cycles > _MAX_CYCLES:
+            parser.error(f"{flag} {value:g} s takes the phases to {cycles:.3g} cycles, past "
+                         "the 2^53-cycle precision floor; use times nearer 0")
+
+
 def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
     """Usage error when the kernel tables for coeffs on a count-point grid
     would pass MAX_KERNEL_BYTES."""
@@ -263,6 +284,7 @@ def cmd_autocorr(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     coeffs = gaussian_packet(spec)
+    _check_cycles(parser, coeffs, spec, args.model, {"--tmin": args.tmin, "--tmax": args.tmax})
     _check_kernel(parser, coeffs, grid.count)
     a2 = _a2_chunks(coeffs, PhaseModel(args.model), spec, grid, 0, grid.count, CHUNK_ROWS)
     parts = _chunks(grid.count)
@@ -289,6 +311,7 @@ def cmd_slice(parser, args) -> int:
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
+    _check_cycles(parser, coeffs, spec, "exact", {"--t": args.t})
     _check_kernel(parser, coeffs, grid.count)
     try:
         result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
@@ -311,7 +334,7 @@ def cmd_slice(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     from .analysis import _verify, _window_range
-    from .autocorr import PhaseModel, TimeGrid, _a2_chunks
+    from .autocorr import PhaseModel, TimeGrid, _a2_kernel
     from .packet import gaussian_packet
     from .spectrum import timescales
 
@@ -334,10 +357,12 @@ def cmd_verify(parser, args) -> int:
         )
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
+    covered = 0
     for pred in preds:
         span = _window_range(pred, grid)
         if span is None:
             continue
+        covered += 1
         if span[1] - span[0] > MAX_SAMPLES:
             parser.error(
                 f"verify would hold {span[1] - span[0]} samples in the window at "
@@ -347,9 +372,17 @@ def cmd_verify(parser, args) -> int:
         # The tables depend on the grid only, so the first covered window's
         # check decides; it follows that window's sample budget check.
         _check_kernel(parser, coeffs, grid.count)
-    model = PhaseModel(args.model)
-    entries = _verify(preds, grid, lambda start, stop: next(_a2_chunks(
-        coeffs, model, spec, grid, start, stop, stop - start)), args.threshold, args.tolerance)
+    model, kernel = PhaseModel(args.model), None
+
+    def samples(start: int, stop: int):
+        # the tables go once the last covered window is evaluated, before it is judged
+        nonlocal kernel, covered
+        kernel = kernel or _a2_kernel(coeffs, model, spec, grid)
+        values, covered = kernel.evaluate(start, stop), covered - 1
+        kernel = kernel if covered else None
+        return values
+
+    entries = _verify(preds, grid, samples, args.threshold, args.tolerance)
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from rydlab import (
     to_si,
 )
 from rydlab._reprformat import _FORMAT_VALUES
-from rydlab.autocorr import _kernel_bytes
+from rydlab.autocorr import _cycle_rates, _kernel_bytes
 from rydlab.cli import MAX_KERNEL_BYTES, MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -387,13 +389,13 @@ def test_verify_evaluates_only_its_windows(monkeypatch, capsys):
     that Signal.window selects on the full grid, and never for the window of
     q = 39, which starts before t = 0 at nbar = 48."""
     calls = []
-    kernel = rydlab.autocorr._a2_chunks
+    evaluate = rydlab.autocorr._Kernel.evaluate
 
-    def recorded(coeffs, model, spec, grid, start, stop, size):
+    def recorded(kernel, start, stop):
         calls.append((start, stop))
-        return kernel(coeffs, model, spec, grid, start, stop, size)
+        return evaluate(kernel, start, stop)
 
-    monkeypatch.setattr("rydlab.autocorr._a2_chunks", recorded)
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "evaluate", recorded)
     argv = ["verify", "--nbar", "48", "--sigma", "1.5", "--q", "39", "--q", "12", "--q", "6"]
     main(argv)
     capsys.readouterr()
@@ -409,6 +411,63 @@ def test_verify_evaluates_only_its_windows(monkeypatch, capsys):
         assert window.t0 == dt * start
         windows.append((start, start + window.values.size))
     assert calls == windows
+
+
+@pytest.mark.parametrize("qs, formed", [([39, 12, 6], 1), ([39], 0)], ids=["39-12-6", "39"])
+def test_verify_forms_its_tables_once(qs, formed, monkeypatch, capsys):
+    """One kernel serves every window of the grid: its tables are formed
+    once for the two covered windows, and not at all when the only window
+    (q = 39 at nbar = 48) starts before t = 0."""
+    formed_kernels = []
+    init = rydlab.autocorr._Kernel.__init__
+
+    def counted(kernel, *args, **kwargs):
+        formed_kernels.append(kernel)
+        init(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "__init__", counted)
+    argv = ["verify", "--nbar", "48", "--sigma", "1.5"]
+    assert main([*argv, *(f"--q={q}" for q in qs)]) == (0 if formed else 1)
+    capsys.readouterr()
+    assert len(formed_kernels) == formed
+
+
+def test_verify_frees_its_tables_before_the_last_window(monkeypatch, capsys):
+    """The tables are held from the first window to the last and released
+    before the last window's peaks are judged, and no window is held while
+    the next is evaluated.  At nbar = 320 and sigma = 20 (287 terms) the
+    tables take 1.7 MB and each window 68 kB, so the traced memory at each
+    find_peaks call shows whether the tables are alive."""
+    find_peaks = rydlab.analysis.find_peaks
+    evaluate = rydlab.autocorr._Kernel.evaluate
+    traced, windows, alive = [], [], []
+
+    def peaks(window, *args):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        windows.append(weakref.ref(window))
+        return find_peaks(window, *args)
+
+    def recorded(kernel, start, stop):
+        alive.append(sum(ref() is not None for ref in windows))
+        return evaluate(kernel, start, stop)
+
+    monkeypatch.setattr(rydlab.analysis, "find_peaks", peaks)
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "evaluate", recorded)
+    argv = ["verify", "--nbar", "320", "--sigma", "20", "--q", "36", "--q", "18", "--q", "12"]
+    spec = AtomSpec(320, 20)
+    tables = _kernel_bytes(gaussian_packet(spec).offsets.size, full_grid_count(
+        build_parser().parse_args(argv)))
+    assert tables > 20 * 68_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        main(argv)
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert alive == [0, 0, 0]
+    assert len(traced) == 3
+    assert min(traced[:2]) > tables > traced[2]
 
 
 @pytest.mark.parametrize("command", ["predict", "verify"])
@@ -505,6 +564,51 @@ def test_time_past_the_bound_is_usage_error_before_any_output(argv, capsys):
     assert f"must be finite and within +-{cli.MAX_SECONDS:g} s" in error
 
 
+@pytest.mark.parametrize("argv", [
+    ["autocorr", "--tmin", "1e200", "--tmax", "1e200", "--samples", "1"],
+    ["autocorr", "--tmin", "-1e200", "--tmax", "0", "--samples", "2"],
+    ["slice", "--t", "1e200", "--points", "8"],
+], ids=["autocorr", "autocorr-negative", "slice"])
+def test_time_past_the_precision_floor_is_usage_error(argv, capsys):
+    """At 1e200 s the phases of nbar = 48 pass 10^211 cycles, where the
+    double-double phase has no fractional bits left (autocorr printed
+    a2 = 1.0): exit 2 with nothing written."""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *ATOM_48, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past the 2^53-cycle precision floor" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("model", list(PhaseModel), ids=lambda m: m.value)
+def test_time_at_the_precision_floor(model, capsys):
+    """A time whose largest phase max_k |nu_k t| sits just below 2^53 cycles
+    still gives |A|^2 to ~1e-14 of a 40-digit sum; just above, `autocorr`
+    under that model exits 2, and so does `slice` at the exact rates."""
+    from test_autocorr import mp_a2
+
+    spec = AtomSpec(48, 1.5)
+    coeffs = gaussian_packet(spec)
+    top = float(np.max(np.abs(_cycle_rates(model, spec.nstar, coeffs.offsets)[0])))
+    inside, outside = (to_si(2.0**53 * f / top) for f in (1 - 1e-6, 1 + 1e-6))
+    argv = ["autocorr", *ATOM_48, "--model", model.value, "--samples", "1", "--format", "json"]
+    rc, record = run_json(capsys, [*argv, "--tmin", str(inside), "--tmax", str(inside)])
+    assert rc == 0
+    want = mp_a2(coeffs, model, spec.nstar, from_si(inside), 1.0, 0)
+    assert abs(record["a2"][0] - want) < 1e-13
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tmin", str(outside), "--tmax", str(outside)])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    if model is PhaseModel.EXACT:
+        slice_argv = ["slice", *ATOM_48, "--points", "8", "--t"]
+        assert main([*slice_argv, str(inside)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*slice_argv, str(outside)])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("base, flag, value", [
     (["slice", "--points", "8"], "--t", "-1e-9"),
     (["slice", "--points", "8", "--format", "json"], "--t", "-2.5E-10"),
@@ -575,7 +679,7 @@ OVERSIZED_KERNEL_COMMANDS = {
                "--points", str(MAX_SAMPLES)], "rydlab.circular.angular_slice"),
     # 12,034 terms on a 9.0e5-sample grid: 948 columns of V
     "verify": (["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
-               "rydlab.autocorr._a2_chunks"),
+               "rydlab.autocorr._a2_kernel"),
 }
 
 
