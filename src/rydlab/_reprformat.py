@@ -4,7 +4,7 @@ formatted in numpy.
 repr prints the shortest decimal that rounds back to x and, of those, the
 one nearest to x (Steele & White 1990; Gay's dtoa mode 0).  One repr call
 and its join cost ~1.4 us; this formats a block of values in a few dozen
-vectorised passes, ~0.3 us per value.
+vectorised passes, ~0.2 us per value in blocks of 2048 (2-vCPU Xeon).
 
 Digits.  With E = floor(log10|x|), y = |x|*10**(16 - E) lies in
 [1e16, 1e17).  It is formed as a double-double against 10**(16 - E) held as
@@ -22,28 +22,22 @@ the decimal point position E + 1 is in [-3, 16], and exponent notation
 otherwise.  Each value fills a 40-byte slot: the separator ",\n    ", the
 sign, then bytes taken from a constant row, from the digits, and from the
 digits shifted one byte right (past the decimal point), through byte masks
-looked up by (layout, j); the exponent comes from a table by E.  The NUL
-bytes left in a slot are dropped when the slots are joined.
+looked up by (layout, j); the exponent comes from a table by E.  As in
+rydlab._sciformat, the slots are one bytearray whose NUL bytes are dropped
+when it is joined.
 
 Fallback.  A value with an interval edge within 1e-9 of an integer, a tie
 within 1e-9 between two candidates, j >= 4, y outside [1e16, 1e17) (log10
 rounded across a power of ten), or that is 0, non-finite, subnormal or
-outside [1e-280, 1e280) is float.__repr__ itself, spliced into its slot.
+outside [1e-280, 1e280) is float.__repr__ itself, spliced into its slot
+with the block's other fallbacks in one assignment.
 """
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
 from ._ddmath import two_prod
 from ._sciformat import _DIGITS, _POWER, _POWERS, _join
-
-# Values formatted at once.  On the 6x10^5 numbers of a 2x10^5-row JSON
-# autocorr, 4096 formats in ~14% less time than 2048 (2-vCPU Xeon) for
-# 0.9 MB more peak RSS (33.0 MB); 8192 saves a little more time but peaks
-# at 34.5 MB, next to the ~35 MB of a 2x10^5-point slice.
-_FORMAT_VALUES = 4096
 
 # A slot holds the separator in bytes 2-7, the sign in byte 8, "0.000" in
 # bytes 10-14, the digits and the decimal point from byte _FIRST = 15 to
@@ -120,8 +114,10 @@ _STEP = np.array([1.0, 10.0, 100.0, 1000.0])
 _SEPARATOR_WORD = np.frombuffer(_SEPARATOR.rjust(8, b"\0"), "<u8")
 
 
-def _values(block: np.ndarray) -> str:
-    """The text ",\\n    " + repr(x) for each x of a 1-d float64 block."""
+def _shortest(block: np.ndarray):
+    """(e, r, j, fast) for each x of a 1-d float64 block: e = E + _POWERS,
+    and where fast holds, r is repr's 17-digit significand of |x| (a
+    multiple of 10**j, j <= 3)."""
     a = np.abs(block)
     fast = (a >= 1e-280) & (a < 1e280)
     a[~fast] = 1.0
@@ -134,7 +130,7 @@ def _values(block: np.ndarray) -> str:
     fast &= (d >= 10**16) & (d < 10**17)
     # y mod 10**4, and the interval of decimals that read back as x; the gap
     # below a power of two is half the gap above
-    low4 = d % 10**4
+    low4 = d - d // 10**4 * 10**4
     z = low4 + (tail - whole)
     gap = np.spacing(a) * _POWER[k]
     low = z - np.where(a.view(np.uint64) << np.uint64(12) == 0, 0.25, 0.5) * gap
@@ -150,18 +146,28 @@ def _values(block: np.ndarray) -> str:
     near = np.rint(z / step) * step
     fast &= np.abs(2.0 * np.abs(z - near) - step) > 2 * _MARGIN
     near += step * ((near < low).astype(np.float64) - (near > high))
-    r = d - low4 + near.astype(np.int64)
+    return e, d - low4 + near.astype(np.int64), j, fast
+
+
+def _fill(slots: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Write the fast text of each x of a 1-d float64 block into its row of
+    slots (5 64-bit words); return the mask of the values it formats
+    correctly."""
+    e, r, j, fast = _shortest(block)
     # the digits: the first, then four words of four
-    first, r = np.divmod(r, 10**16)
+    first = r // 10**16
+    r -= first * 10**16
     first += ord("0")
-    high8, low8 = np.divmod(r, 10**8)
-    q1, q2 = np.divmod(high8, 10**4)
-    q3, q4 = np.divmod(low8, 10**4)
+    high8 = r // 10**8
+    low8 = r - high8 * 10**8
+    q1 = high8 // 10**4
+    q2 = high8 - q1 * 10**4
+    q3 = low8 // 10**4
+    q4 = low8 - q3 * 10**4
     word2 = _DIGIT_WORDS[q1] | _DIGIT_WORDS[q2] << np.uint64(32)
     word3 = _DIGIT_WORDS[q3] | _DIGIT_WORDS[q4] << np.uint64(32)
     first = first.astype(np.uint64)
     key = _LAYOUT[e] + j
-    slots = np.empty((block.size, _SLOT // 8), "<u8")
     slots[:, 0] = _SEPARATOR_WORD
     slots[:, 1] = (_CONST[1][key] | (first << np.uint64(56)) & _UNSHIFTED[1][key]
                    | np.signbit(block).astype(np.uint64) * np.uint64(ord("-")))
@@ -170,12 +176,14 @@ def _values(block: np.ndarray) -> str:
     slots[:, 3] = (_CONST[3][key] | word3 & _UNSHIFTED[3][key]
                    | (word3 << np.uint64(8) | word2 >> np.uint64(56)) & _SHIFTED[3][key])
     slots[:, 4] = _CONST[4][key] | (word3 >> np.uint64(56)) & _SHIFTED[4][key] | _EXPONENT[e]
-    return _join(slots.view(np.uint8), np.flatnonzero(~fast),
-                 (_SEPARATOR + repr(x).encode() for x in block[~fast].tolist()))
+    return fast
 
 
-def json_values(values: np.ndarray) -> Iterator[str]:
+def json_values(values: np.ndarray) -> str:
     """The text ",\\n    " + float.__repr__(x) for each x of a 1-d float
-    array, in pieces of _FORMAT_VALUES values."""
-    for lo in range(0, values.size, _FORMAT_VALUES):
-        yield _values(np.asarray(values[lo:lo + _FORMAT_VALUES], np.float64))
+    array."""
+    block = np.asarray(values, np.float64)
+    text = bytearray(_SLOT * block.size)
+    slow = ~_fill(np.frombuffer(text, "<u8").reshape(-1, _SLOT // 8), block)
+    return _join(text, _SLOT, np.flatnonzero(slow),
+                 (_SEPARATOR + repr(x).encode() for x in block[slow].tolist()))

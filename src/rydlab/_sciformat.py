@@ -1,30 +1,28 @@
 """CSV text whose every field is the bytes of '%.11e' % x, formatted in numpy.
 
 One % call per field costs ~600 ns; this formats a block of rows in a few
-dozen vectorised passes.  With e = floor(log10|x|), corrected once so that
-y = |x|*10**(11 - e) lies in [1e11, 1e12), the digits are m = rint(y), and
-m = 1e12 rolls over into the next decade.  10**(11 - e) is correctly
-rounded, so y is within ~2 ulp (< 3e-4) of the exact product and m is the
-correctly rounded mantissa unless frac(y) is within 1e-3 of 1/2.  Those
-near-ties, and 0, non-finite, subnormal and |x| outside [1e-280, 1e280)
-fields, are '%.11e' % x itself, spliced into their slots.
+dozen vectorised passes, ~50 ns per field in blocks of 2048 rows of the
+three `autocorr` columns (2-vCPU Xeon).  With e = floor(log10|x|), moved
+one decade at the fields where y = |x|*10**(11 - e) falls outside
+[1e11, 1e12), the digits are m = rint(y), and m = 1e12 rolls over into the
+next decade.  10**(11 - e) is correctly rounded, so y is within ~2 ulp
+(< 3e-4) of the exact product and m is the correctly rounded mantissa
+unless |y - m| is within 1e-3 of 1/2.  Those near-ties, and 0, non-finite,
+subnormal and |x| outside [1e-280, 1e280) fields, are '%.11e' % x itself,
+spliced into their slots in one assignment.
 
 Each field fills a 20-byte slot of five 4-byte words (sign, d.ddddddddddd,
 e, exponent sign, 3 exponent digits, separator) looked up in tables built
-when the module is imported; the NUL bytes of shorter fields are dropped
-when the slots are joined.
+when the module is imported.  A block's slots are one bytearray, written
+through a numpy view; its text is one copy of it without the NUL bytes,
+decoded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-
-# Rows formatted at once, so that the temporaries stay small (~0.5 MB).  On
-# a 2-vCPU Xeon host 2048 rows formatted fastest per field; 4096 rows took
-# ~50% longer per field.
-_FORMAT_ROWS = 2048
 
 # 10**k for |k| <= _POWERS, correctly rounded: every 10**(11 - e) that a
 # field in [1e-280, 1e280) needs.
@@ -63,50 +61,71 @@ def _tables():
 _DIGITS, _LEAD, _TAIL, _EXPONENT = _tables()
 
 
-def _rows(block: np.ndarray) -> str:
-    """The CSV rows of a 2-d float64 block."""
-    a = np.abs(block)
+def _decimal(block: np.ndarray):
+    """(e, m, fast) for the fields x of a 2-d float64 block, flattened:
+    |x| = m * 10**(e - 11) with m in [10**11, 10**12) the correctly rounded
+    digits wherever fast holds."""
+    a = np.abs(block).ravel()
     fast = (a >= 1e-280) & (a < 1e280)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    y = a * _POWER[_POWERS + 11 - e]
-    e += (y >= 1e12).astype(np.int64) - (y < 1e11)
-    y = a * _POWER[_POWERS + 11 - e]
-    fast &= np.abs(y - np.floor(y) - 0.5) > 1e-3
-    m = np.rint(y)
-    up = m >= 1e12
+    e = np.log10(a)
+    e = np.floor(e, out=e).astype(np.int64)
+    y = _POWER[_POWERS + 11 - e]
+    y *= a
+    # the decade, fixed where log10 missed it
+    miss = np.flatnonzero((y < 1e11) | (y >= 1e12))
+    e[miss] += np.where(y[miss] < 1e11, -1, 1)
+    y[miss] = a[miss] * _POWER[_POWERS + 11 - e[miss]]
+    # the digits, in the buffer of a, which is not read again
+    m = np.rint(y, out=a)
+    y -= m
+    fast &= np.abs(y, out=y) < 0.5 - 1e-3
+    up = np.flatnonzero(m >= 1e12)
     m[up] = 1e11
-    e += up
-    m = m.astype(np.int64)
-    slots = np.empty((*block.shape, 5), np.uint32)
-    top, m = np.divmod(m, 10**10)
-    slots[..., 0] = _LEAD[top + 100 * np.signbit(block)]
-    quad, m = np.divmod(m, 10**6)
-    slots[..., 1] = _DIGITS[quad]
-    quad, m = np.divmod(m, 100)
-    slots[..., 2] = _DIGITS[quad]
-    slots[..., 3] = _TAIL[m + 100 * (e < 0)]
-    e = np.abs(e)
+    e[up] += 1
+    return e, m.astype(np.int64), fast
+
+
+def _fill(slots: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Write the fast digits of each field of a 2-d float64 block into its
+    row of slots (5 uint32 words); return the mask of the fields they
+    format correctly.  Each temporary goes once its words are written, so
+    about four int64 arrays of the block are alive at once."""
+    e, m, fast = _decimal(block)
+    top = m // 10**10
+    m -= top * 10**10
+    # the sign offsets are uint8 arrays, so they add no int64 temporary
+    top += np.signbit(block).ravel() * np.uint8(100)
+    slots[:, 0] = _LEAD[top]
+    del top
+    for word, unit in ((1, 10**6), (2, 100)):
+        quad = m // unit
+        m -= quad * unit
+        slots[:, word] = _DIGITS[quad]
+    m += (e < 0) * np.uint8(100)
+    slots[:, 3] = _TAIL[m]
+    e = np.abs(e, out=e).reshape(block.shape)
     e[:, -1] += 1000
-    slots[..., 4] = _EXPONENT[e]
-    text = slots.view(np.uint8).reshape(-1, 20)
-    index = np.flatnonzero(~fast)
-    ends = text[index, -1].tobytes()  # each slot's own separator
-    return _join(text, index, (b"%.11e%c" % (x, end)
-                               for x, end in zip(block.ravel()[index].tolist(), ends)))
+    slots[:, 4] = _EXPONENT[e.ravel()]
+    return fast
 
 
-def _join(slots: np.ndarray, index, fields) -> str:
-    """The text of slots, a 2-d uint8 array of NUL-padded ASCII slots, after
-    slot index[n] is replaced by the bytes fields[n]."""
-    for i, field in zip(index, fields):
-        slots[i] = 0
-        slots[i, :len(field)] = np.frombuffer(field, np.uint8)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+def _join(text: bytearray, width: int, index: np.ndarray, fields) -> str:
+    """text, NUL-padded ASCII slots of `width` bytes, without its NUL bytes
+    once slot index[n] is replaced by the bytes fields[n], all in one
+    assignment."""
+    spliced = b"".join(field.ljust(width, b"\0") for field in fields)
+    np.frombuffer(text, np.uint8).reshape(-1, width)[index] = (
+        np.frombuffer(spliced, np.uint8).reshape(-1, width))
+    return text.translate(None, b"\0").decode("ascii")
 
 
-def csv_rows(columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """CSV rows of equal-length 1-d float columns, _FORMAT_ROWS rows per
-    piece of text."""
-    for lo in range(0, len(columns[0]), _FORMAT_ROWS):
-        yield _rows(np.column_stack([c[lo:lo + _FORMAT_ROWS] for c in columns]))
+def csv_rows(columns: Sequence[np.ndarray]) -> str:
+    """The CSV rows of equal-length 1-d float columns."""
+    block = np.column_stack(columns)
+    text = bytearray(20 * block.size)
+    slots = np.frombuffer(text, np.uint8).reshape(-1, 20)
+    index = np.flatnonzero(~_fill(slots.view(np.uint32), block))
+    ends = slots[index, -1].tobytes()  # each slot's own separator
+    return _join(text, 20, index, (b"%.11e%c" % (x, end)
+                                   for x, end in zip(block.ravel()[index].tolist(), ends)))

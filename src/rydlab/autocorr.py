@@ -300,11 +300,6 @@ def _check_range(start: int, stop: int, count: int) -> None:
         raise ValueError(f"index range [{start}, {stop}) not inside [0, {count})")
 
 
-def _amplitude_chunks(weights, rate, x0, dx, count, start, stop, size, squared=False):
-    """The samples of one _Kernel at indices [start, stop), in chunks of `size`."""
-    return _Kernel(weights, rate, x0, dx, count, squared).chunks(start, stop, size)
-
-
 def _a2_kernel(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
                grid: TimeGrid) -> _Kernel:
     """The kernel of |A|^2 at the exact grid times t0 + dt*i: weights p_k."""

@@ -49,7 +49,7 @@ class AngularSlice:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
-        if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
+        if not np.isfinite(values).all():
             raise ValueError("slice amplitudes must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -116,8 +116,13 @@ def angular_slice(
     the largest of them (the common-scale normalization).  r defaults to
     the expectation radius of the central state.  The sum is one run of the
     amplitude kernel, with rates -(n_k - 1)/(2*pi) cycles per radian, so
-    Psi sits at the exact grid angles phi0 + dphi*i.
+    Psi sits at the exact grid angles phi0 + dphi*i.  The rates need every
+    n_k - 1 exact, so nbar + max|k| must stay below 2^53 (ValueError).
     """
+    largest = spec.nbar + float(np.abs(coeffs.offsets).max())
+    if largest >= 2.0**53:
+        raise ValueError(f"nbar + max|k| must be below 2^53 for exact ring rates n_k - 1, "
+                         f"got {largest:.6g}")
     if r is None:
         r = expectation_radius(spec.nbar)
     logs = log_amplitude(spec.nbar + coeffs.offsets, r)

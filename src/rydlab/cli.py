@@ -2,22 +2,23 @@
 
 Times cross the CLI boundary in SI seconds; computation runs in atomic
 units and data files carry both.  Every command writes through one
-streaming writer.  `autocorr` evaluates, formats and writes |A|^2 in chunks
-of CHUNK_ROWS rows, `slice` formats and writes Psi(phi) and `predict` each
-weight list b the same way, each chunk written before the next is formed,
-so memory does not grow with the size of the text.  json.dumps lays out
-every JSON document (_json); only the items of its arrays are streamed
-into that layout.  CSV fields are the bytes of '%.11e' % x, formatted in
-numpy (rydlab._sciformat), and so are the numbers of the `autocorr` and
-`slice` JSON arrays, the bytes of float.__repr__(x) (rydlab._reprformat);
-each module is imported by the command that writes it.  `predict` calls
-float.__repr__ itself: its b lists are at most q long, and loading the
-formatter there would only add import time.  Identical flags produce
-byte-identical output, whatever the chunk size.  `verify` evaluates only
-the windows t_sr/q +- t_rev it searches, bitwise as on the whole grid from
-t = 0, with one kernel whose tables it forms at the first window and frees
-before it judges the last, and judges them through the loop of
-rydlab.verify (analysis._verify).
+streaming writer.  CHUNK_ROWS is the one block size of the output path:
+`autocorr` evaluates, formats and writes |A|^2 in chunks of CHUNK_ROWS
+rows, `slice` formats and writes Psi(phi) and `predict` each weight list b
+the same way, and the formatters format exactly the chunk they are given,
+each chunk written before the next is formed, so memory does not grow with
+the size of the text.  json.dumps lays out every JSON document (_json);
+only the items of its arrays are streamed into that layout.  CSV fields are
+the bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so
+are the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
+float.__repr__(x) (rydlab._reprformat); each module is imported by the
+command that writes it.  `predict` calls float.__repr__ itself: its b lists
+are at most q long, and loading the formatter there would only add import
+time.  Identical flags produce byte-identical output, whatever the chunk
+size.  `verify` evaluates only the windows t_sr/q +- t_rev it searches,
+bitwise as on the whole grid from t = 0, with one kernel whose tables it
+forms at the first window and frees before it judges the last, and judges
+them through the loop of rydlab.verify (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -106,8 +107,13 @@ _MAX_CYCLES = 2**53
 # flag without its value, although `--t=-1e-9` parses.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-# Rows evaluated, formatted and written at a time.
-CHUNK_ROWS = 1 << 14
+# Rows evaluated, formatted and written at a time, one format call per
+# column (JSON) or per chunk (CSV).  On the dump's columns (2-vCPU Xeon,
+# interleaved medians) a CSV field took 49/46 ns and a JSON value 218/205 ns
+# at 2048/4096 rows, and both were slower at 1024 and 8192; 2048 is the
+# largest block whose temporaries stay inside the kernel's: a 2x10^5-point
+# slice CSV peaks 19 kB below its kernel phase (traced), 555 kB above at 4096.
+CHUNK_ROWS = 1 << 11
 
 
 def _chunks(count: int) -> list[tuple[int, int]]:
@@ -124,8 +130,7 @@ def _csv(columns: dict):
     from ._sciformat import csv_rows
 
     yield ",".join(columns) + "\n"
-    for chunk in zip(*columns.values()):
-        yield from csv_rows(chunk)
+    yield from map(csv_rows, zip(*columns.values()))
 
 
 # The list entry json.dumps writes as "\u0000", which no record value holds:
@@ -151,13 +156,11 @@ def _json(record: dict, arrays) -> Iterator[str]:
 def _json_columns(scalars: dict, columns: dict) -> Iterator[str]:
     """_json of scalars and one array per float column (an iterable of
     chunks of finite floats), every number the bytes of float.__repr__(x)."""
-    from itertools import chain
-
     # Imported here, so that commands that write no JSON column neither
     # compile it nor build its tables.
     from ._reprformat import json_values
 
-    arrays = [chain.from_iterable(map(json_values, chunks)) for chunks in columns.values()]
+    arrays = [map(json_values, chunks) for chunks in columns.values()]
     return _json({**scalars, **dict.fromkeys(columns, [_ITEMS])}, arrays)
 
 

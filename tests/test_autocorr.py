@@ -24,9 +24,7 @@ from rydlab import (
     timescales,
 )
 from rydlab import autocorr
-from rydlab.autocorr import (
-    _a2_chunks, _amplitude_chunks, _cycle_rates, _kernel_bytes, phase_cycles,
-)
+from rydlab.autocorr import _Kernel, _a2_chunks, _cycle_rates, _kernel_bytes, phase_cycles
 from rydlab.spectrum import MAX_NBAR
 
 from conftest import a2_over_times, circular_distance
@@ -292,8 +290,8 @@ def kernel_chunks(kernel, coeffs, model, spec, grid, start, stop, size):
         return _a2_chunks(coeffs, model, spec, grid, start, stop, size)
     turns = np.exp(2j * np.pi * np.random.default_rng(3).random(coeffs.offsets.size))
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
-    return _amplitude_chunks(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count,
-                             start, stop, size)
+    return _Kernel(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count).chunks(
+        start, stop, size)
 
 
 def full_run(kernel, coeffs, model, spec, grid):

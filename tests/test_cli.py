@@ -33,7 +33,6 @@ from rydlab import (
     timescales,
     to_si,
 )
-from rydlab._reprformat import _FORMAT_VALUES
 from rydlab.autocorr import _cycle_rates, _kernel_bytes
 from rydlab.cli import MAX_KERNEL_BYTES, MAX_Q, MAX_SAMPLES, build_parser, main
 
@@ -470,6 +469,59 @@ def test_verify_frees_its_tables_before_the_last_window(monkeypatch, capsys):
     assert min(traced[:2]) > tables > traced[2]
 
 
+def traced_phases(monkeypatch, argv) -> dict:
+    """The traced peaks, in bytes, of a command's kernel phase (forming and
+    evaluating the amplitude kernel) and of the rest of it, the output path
+    above all."""
+    peaks = {"kernel": 0, "output": 0}
+
+    def phase(method):
+        def traced(*args, **kwargs):
+            peaks["output"] = max(peaks["output"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            result = method(*args, **kwargs)
+            peaks["kernel"] = max(peaks["kernel"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return result
+        return traced
+
+    kernel = rydlab.autocorr._Kernel
+    monkeypatch.setattr(kernel, "__init__", phase(kernel.__init__))
+    monkeypatch.setattr(kernel, "evaluate", phase(kernel.evaluate))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peaks["output"] = max(peaks["output"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+# Traced bytes the output phase may peak above the kernel phase: two float64
+# arrays of a 2048 x 4 block.  Measured on numpy 2.4 (output minus kernel):
+# -14 kB for the slice and -326 kB for the JSON, against +889 kB and +804 kB
+# when the formatters re-blocked 16384-row chunks.
+OUTPUT_MARGIN = 1 << 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--nbar", "320", "--sigma", "2.5", "--t", "42.48e-6", "--points", "200000"],
+    ["autocorr", "--nbar", "320", "--sigma", "2.5", "--tmin", "0", "--tmax", "45e-6",
+     "--samples", "200000", "--format", "json"],
+], ids=["slice-csv", "autocorr-json"])
+def test_output_peaks_near_the_kernel(argv, monkeypatch):
+    """The output path formats and writes one CHUNK_ROWS block at a time,
+    so its temporaries stay near the kernel's: a 2x10^5-point slice (3.2 MB
+    of Psi) and a 2x10^5-row JSON autocorr peak at most OUTPUT_MARGIN above
+    their kernel phase."""
+    # imported before tracing: their tables are not output temporaries
+    from rydlab import _reprformat, _sciformat  # noqa: F401
+
+    peaks = traced_phases(monkeypatch, [*argv, "--out", os.devnull])
+    assert peaks["output"] <= peaks["kernel"] + OUTPUT_MARGIN, peaks
+
+
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
     """A q past MAX_Q (l <= q weights) exits 2 with nothing written, before
@@ -537,6 +589,29 @@ def test_non_finite_slice_is_usage_error_before_any_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("nbar, points", [("1e17", "8"), ("1e16", "4")])
+def test_slice_past_exact_quantum_numbers_is_usage_error(nbar, points, capsys):
+    """Past nbar + max|k| = 2^53 the ring rates n_k - 1 are not exact, and
+    the ring came out flat (|Psi| = 3.54021716244 at every phi at 1e17,
+    1.57259282717e-04 at 1e16): exit 2 with nothing written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["slice", "--nbar", nbar, "--sigma", "2.5", "--t", "0", "--points", points])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below 2^53" in captured.err
+
+
+def test_slice_below_exact_quantum_numbers(capsys):
+    """At nbar = 1e15 the ring is computed as before: |Psi| varies over
+    0.139-0.156 around the ring."""
+    assert main(["slice", "--nbar", "1e15", "--sigma", "2.5", "--t", "0", "--points", "8"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    want = [0.154618411051, 0.147611246687, 0.138764098737, 0.14688031078,
+            0.156304955828, 0.14688031078, 0.138764098737, 0.147611246687]
+    assert np.allclose(rows[:, 3], want, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -900,11 +975,12 @@ def hard_fields() -> np.ndarray:
 
 
 @pytest.mark.parametrize("cols", [3, 4])
-@pytest.mark.parametrize("rows", [1, 7, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, 7, 8 * cli.CHUNK_ROWS + 1])
 def test_csv_fields_match_percent_format_on_hard_cases(rows, cols):
     """The vectorised '%.11e' is byte for byte the % operator on near-ties,
     powers of ten, decade roll-overs, 3-digit exponents, zeros, subnormals
-    and non-finite fields, at 1, 7 and CHUNK_ROWS + 1 rows."""
+    and non-finite fields, at 1, 7 and 8 * CHUNK_ROWS + 1 rows (eight whole
+    blocks, then a block of one row)."""
     values = hard_fields()
     size = rows * cols
     blocks = np.resize(values, -(-values.size // size) * size).reshape(-1, rows, cols)
@@ -983,14 +1059,13 @@ def hard_json_values() -> np.ndarray:
 
 
 @pytest.mark.parametrize("size, chunk", [(1, cli.CHUNK_ROWS), (7, 5), (7, cli.CHUNK_ROWS),
-                                         (2049, 5), (2049, cli.CHUNK_ROWS),
-                                         (_FORMAT_VALUES + 1, 5),
-                                         (_FORMAT_VALUES + 1, cli.CHUNK_ROWS)])
+                                         (cli.CHUNK_ROWS + 1, 5),
+                                         (cli.CHUNK_ROWS + 1, cli.CHUNK_ROWS)])
 def test_json_numbers_match_repr_on_hard_cases(size, chunk, monkeypatch):
     """The vectorised float.__repr__ is byte for byte repr on zeros,
     subnormals, powers of two, exact midpoints, notation switches, decade
-    roll-overs and ties, at 1, 7, 2049 (a part block) and block + 1 values
-    per column, with chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
+    roll-overs and ties, at 1, 7 and block + 1 values per column, with
+    chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
     block's passes, so that case takes every fifth value."""
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
     values = hard_json_values()[::5 if size == 1 else 1]
@@ -1011,12 +1086,34 @@ def test_json_exponent_estimate_may_be_a_decade_off(shift, monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=28),
-       size=st.sampled_from([1, 7, _FORMAT_VALUES + 1]))
+       size=st.sampled_from([1, 7, cli.CHUNK_ROWS + 1]))
 def test_json_numbers_match_repr_on_any_bits(bits, size):
     """Any 64-bit pattern viewed as a float64: NaNs, infinities, signed
     zeros, subnormals and every exponent."""
     values = np.resize(np.array(bits, np.uint64).view(np.float64), size)
     assert vectorised_json(values) == repr_json(values)
+
+
+# Values no fast path formats: zeros, non-finite, subnormal and out-of-range.
+FALLBACKS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-300, 1e300]
+
+
+@pytest.mark.parametrize("rows", [1, 7, cli.CHUNK_ROWS + 1])
+def test_blocks_where_every_field_falls_back(rows):
+    """Blocks where every field is % or repr's own text, spliced into the
+    slots in one assignment per block: FALLBACKS with ties and near-ties
+    (CSV) or short decimals (JSON), byte for byte at 1, 7 and
+    CHUNK_ROWS + 1 rows."""
+    from rydlab._reprformat import _shortest
+    from rydlab._sciformat import _decimal
+
+    ties = [1234567890125.0, -1.234567890125e-7, 9.999999999995e99]
+    block = np.resize(FALLBACKS + ties, rows * 3).reshape(rows, 3)
+    assert not _decimal(block)[2].any()
+    assert_same_lines(vectorised_csv(block), percent_csv(block))
+    values = np.resize(FALLBACKS + [0.5, -0.1, 1.0, 1e22, 1e-7], rows)
+    assert not _shortest(values)[3].any()
+    assert_same_lines(vectorised_json(values), repr_json(values))
 
 
 # The rydlab modules besides rydlab.cli that each command loads, and
