@@ -1059,14 +1059,14 @@ def hard_json_values() -> np.ndarray:
 
 
 @pytest.mark.parametrize("size, chunk", [(1, cli.CHUNK_ROWS), (7, 5), (7, cli.CHUNK_ROWS),
-                                         (cli.CHUNK_ROWS + 1, 5),
+                                         (cli.CHUNK_ROWS + 1, 5), (2 * cli.CHUNK_ROWS + 1, 5),
                                          (cli.CHUNK_ROWS + 1, cli.CHUNK_ROWS)])
 def test_json_numbers_match_repr_on_hard_cases(size, chunk, monkeypatch):
     """The vectorised float.__repr__ is byte for byte repr on zeros,
     subnormals, powers of two, exact midpoints, notation switches, decade
-    roll-overs and ties, at 1, 7 and block + 1 values per column, with
-    chunks of 5 rows and of CHUNK_ROWS.  One value per column costs a whole
-    block's passes, so that case takes every fifth value."""
+    roll-overs and ties, at 1, 7, block + 1 and two blocks + 1 values per
+    column, with chunks of 5 rows and of CHUNK_ROWS.  One value per column
+    costs a whole block's passes, so that case takes every fifth value."""
     monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
     values = hard_json_values()[::5 if size == 1 else 1]
     blocks = np.resize(values, -(-values.size // size) * size).reshape(-1, size)
