@@ -181,14 +181,36 @@ def _cycles_at(rate, t):
     return dd.dd_frac((p, e + t * rate[1]))
 
 
+# Largest phase max_k |nu_k t| reduced, in cycles: the precision floor.  Past
+# it the ~106-bit double-double phase keeps fewer fractional bits than a
+# double holds in [0, 1) (at nbar = 48, 3e-12 off a 40-digit sum at 2^70
+# cycles, 2e-2 at 2^100), and past ~1.3e300 a.u. the Veltkamp split of the
+# time (_ddmath.two_prod) overflows into NaNs.
+_MAX_CYCLES = 2**53
+
+
+def _check_cycles(rate, x) -> None:
+    """ValueError when max_k |rate_k| * max |x| passes the precision floor,
+    for a double-double rate table and the points x (a.u. or radians) it is
+    reduced at."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    cycles = float(np.max(np.abs(rate[0]), initial=0.0)) * top
+    if cycles > _MAX_CYCLES:
+        raise ValueError(f"the phases reach {cycles:.3g} cycles at {top:g} a.u., past "
+                         "the 2^53-cycle precision floor; use times nearer 0")
+
+
 def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
     """Phase theta_k(t) / (2*pi) reduced into [0, 1).
 
     k (offsets) and t (times) may be scalars or arrays; they broadcast.
     The constant E_{nbar} reference phase is dropped (it cancels in |A|^2).
+    ValueError past the precision floor (_check_cycles).
     """
     rate = _cycle_rates(model, spec.nstar, k)
-    return _cycles_at(rate, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    _check_cycles(rate, t)
+    return _cycles_at(rate, t)
 
 
 # Rows of U per matrix product.  Products always have this many rows and
@@ -204,6 +226,17 @@ def _kernel_bytes(terms: int, count: int) -> int:
     grid and serve any index range, so the size depends on the grid only."""
     block = math.isqrt(count)
     return (terms * (block + _GEMM_ROWS) + _GEMM_ROWS * block) * np.dtype(complex).itemsize
+
+
+# Largest amplitude-kernel table, in bytes (_kernel_bytes).  The kernel forms
+# its tables in cache-sized tiles and squares the product in place, so a
+# request peaks near its tables: 162 MB peak RSS for 134 MB at sigma = 10^3
+# on a 2-vCPU Xeon.  It binds for wide packets, and for `verify` at large
+# nbar (B grows as nbar): 37 terms at 10^7 samples hold 3.5 MB, sigma = 10^3
+# (14,263 terms at nbar = 10^6) is admitted up to 308,024 samples, and
+# `verify` at sigma = 2.5 and q = 3 up to nbar = 66,577 (173 MB peak RSS,
+# where the 32-row product is half the tables).
+MAX_KERNEL_BYTES = 1 << 27
 
 
 # Table entries of U and V formed at a time.  The double-double temporaries
@@ -237,10 +270,18 @@ class _Kernel:
     plus the samples asked for, and any partition of [0, count) reproduces
     the full run bitwise.  U and V are formed in tiles of _FORM_ENTRIES
     entries, so the peak stays near the tables themselves: 1.10x at
-    sigma = 1e3 on a 4096-point grid.
+    sigma = 1e3 on a 4096-point grid.  ValueError, before any table is
+    allocated, past the precision floor at either grid end or past
+    MAX_KERNEL_BYTES.
     """
 
     def __init__(self, weights, rate, x0: float, dx: float, count: int, squared=False):
+        _check_cycles(rate, (x0, x0 + dx * (count - 1)))
+        size = _kernel_bytes(weights.size, count)
+        if size > MAX_KERNEL_BYTES:
+            raise ValueError(f"{weights.size} terms on a {count}-point grid need {size} bytes "
+                             f"of kernel tables, more than the {MAX_KERNEL_BYTES} byte budget; "
+                             "use a narrower packet or fewer samples")
         self.weights, self.count, self.squared = weights, count, squared
         self.block = block = math.isqrt(count)
         per_sample = dd.dd_mul_f(rate, dx)

@@ -117,8 +117,10 @@ def angular_slice(
     the expectation radius of the central state.  The sum is one run of the
     amplitude kernel, with rates -(n_k - 1)/(2*pi) cycles per radian, so
     Psi sits at the exact grid angles phi0 + dphi*i.  The rates need every
-    n_k - 1 exact, so nbar + max|k| must stay below 2^53 (ValueError).
+    n_k - 1 exact, so nbar + max|k| must stay below 2^53 (ValueError), as
+    must the phases theta_k(t) and the kernel tables (autocorr._Kernel).
     """
+    thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
     largest = spec.nbar + float(np.abs(coeffs.offsets).max())
     if largest >= 2.0**53:
         raise ValueError(f"nbar + max|k| must be below 2^53 for exact ring rates n_k - 1, "
@@ -126,7 +128,6 @@ def angular_slice(
     if r is None:
         r = expectation_radius(spec.nbar)
     logs = log_amplitude(spec.nbar + coeffs.offsets, r)
-    thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
     weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
     m = spec.nbar + coeffs.offsets - 1.0
     rate = dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)

@@ -77,30 +77,12 @@ MAX_GRID_INDEX = 2**53
 # than 200 MB.
 MAX_Q = 10**6
 
-# Largest amplitude-kernel table, in bytes.  For K terms on an N-point grid
-# the kernel holds V, one 32-row slab of U and its product, K*(B + 32) + 32*B
-# complex values with B = isqrt(N) (autocorr._kernel_bytes), formed once per
-# grid for any range it evaluates (every window of `verify`) in cache-sized
-# tiles, and it squares the product in place, so a request peaks near its
-# tables: 162 MB peak RSS for 134 MB at sigma = 10^3 on a 2-vCPU Xeon.  It
-# binds for wide packets, and for `verify` at large nbar (B grows as nbar):
-# 37 terms at 10^7 samples hold 3.5 MB, sigma = 10^3 (14,263 terms at
-# nbar = 10^6) is admitted up to 308,024 samples, and `verify` at sigma = 2.5
-# and q = 3 up to nbar = 66,577 (173 MB peak RSS, where the 32-row product is
-# half the tables).
-MAX_KERNEL_BYTES = 1 << 27
-
 # Largest |time| a command takes, in seconds: the grid ends of `autocorr`
 # and the time of `slice`.  The kernel splits every time in atomic units by
 # the Veltkamp factor 2**27 + 1 (_ddmath.two_prod), which overflows past
-# ~1.3e300 a.u. (3.2e283 s).  This check runs first; then a time is refused
-# where the largest phase the kernel reduces, max_k |nu_k t|, passes the
-# 2^53-cycle floor: past it the ~106-bit double-double phase keeps fewer
-# fractional bits than a double holds in [0, 1) (at nbar = 48, 3e-12 off a
-# 40-digit sum at 2^70 cycles, 2e-2 at 2^100).  `verify`'s kernel budget
-# keeps its grid below 2^49 cycles (below 1.4e10 for sigma <= 2.5).
+# ~1.3e300 a.u. (3.2e283 s).  This check runs before the layers' own limits,
+# the precision floor and the kernel budget (rydlab.autocorr).
 MAX_SECONDS = 1e280
-_MAX_CYCLES = 2**53
 
 # A token that starts with "-" and matches this is a value, not an option.
 # argparse's own pattern has no exponent, so it would read `--t -1e-9` as a
@@ -179,13 +161,19 @@ def _write(parser: argparse.ArgumentParser, out_path: str | None, pieces) -> Non
         fh.writelines(pieces)
 
 
+def _usage(parser: argparse.ArgumentParser, make, *args, **kwargs):
+    """make(*args, **kwargs), a layer call made before the first byte of
+    output, with the ValueError it raises turned into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
     from .spectrum import AtomSpec
 
-    try:
-        return AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage(parser, AtomSpec, nbar=args.nbar, sigma=args.sigma, defect=args.defect)
 
 
 def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
@@ -194,44 +182,13 @@ def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
     qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
     if max(qs) > MAX_Q:
         parser.error(f"--q must be <= {MAX_Q}, got {max(qs)}")
-    try:
-        return prediction_table(spec, qs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage(parser, prediction_table, spec, qs)
 
 
 def _check_seconds(parser: argparse.ArgumentParser, flag: str, value: float) -> None:
     """Usage error unless the time flag is finite and within +-MAX_SECONDS."""
     if not abs(value) <= MAX_SECONDS:
         parser.error(f"{flag} must be finite and within +-{MAX_SECONDS:g} s, got {value}")
-
-
-def _check_cycles(parser: argparse.ArgumentParser, coeffs, spec, model: str, times) -> None:
-    """Usage error when the largest phase max_k |nu_k t| under model passes
-    _MAX_CYCLES at a time of `times` (flag -> seconds)."""
-    from .autocorr import PhaseModel, _cycle_rates
-    from .spectrum import from_si
-
-    fastest = float(abs(_cycle_rates(PhaseModel(model), spec.nstar, coeffs.offsets)[0]).max())
-    for flag, value in times.items():
-        cycles = fastest * abs(from_si(value))
-        if cycles > _MAX_CYCLES:
-            parser.error(f"{flag} {value:g} s takes the phases to {cycles:.3g} cycles, past "
-                         "the 2^53-cycle precision floor; use times nearer 0")
-
-
-def _check_kernel(parser: argparse.ArgumentParser, coeffs, count: int) -> None:
-    """Usage error when the kernel tables for coeffs on a count-point grid
-    would pass MAX_KERNEL_BYTES."""
-    from .autocorr import _kernel_bytes
-
-    size = _kernel_bytes(coeffs.offsets.size, count)
-    if size > MAX_KERNEL_BYTES:
-        parser.error(
-            f"{coeffs.offsets.size} terms on a {count}-point grid need {size} bytes of "
-            f"kernel tables, more than the {MAX_KERNEL_BYTES} byte budget; use smaller "
-            "--sigma, --nbar or fewer samples"
-        )
 
 
 def _predict_json(head: dict, preds) -> Iterator[str]:
@@ -282,14 +239,11 @@ def cmd_autocorr(parser, args) -> int:
         dt = 1.0
     else:
         dt = from_si(args.tmax - args.tmin) / (args.samples - 1)
-    try:
-        grid = TimeGrid(t0=t0, dt=dt, count=args.samples)
-    except ValueError as exc:
-        parser.error(str(exc))
+    grid = _usage(parser, TimeGrid, t0=t0, dt=dt, count=args.samples)
     coeffs = gaussian_packet(spec)
-    _check_cycles(parser, coeffs, spec, args.model, {"--tmin": args.tmin, "--tmax": args.tmax})
-    _check_kernel(parser, coeffs, grid.count)
-    a2 = _a2_chunks(coeffs, PhaseModel(args.model), spec, grid, 0, grid.count, CHUNK_ROWS)
+    # the kernel is formed here, so its limits are usage errors
+    a2 = _usage(parser, _a2_chunks, coeffs, PhaseModel(args.model), spec, grid, 0, grid.count,
+                CHUNK_ROWS)
     parts = _chunks(grid.count)
     columns = {
         "t_au": (grid.t0 + grid.dt * np.arange(lo, hi) for lo, hi in parts),
@@ -314,12 +268,7 @@ def cmd_slice(parser, args) -> int:
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
-    _check_cycles(parser, coeffs, spec, "exact", {"--t": args.t})
-    _check_kernel(parser, coeffs, grid.count)
-    try:
-        result = angular_slice(coeffs, spec, from_si(args.t), grid, r=args.radius)
-    except ValueError as exc:
-        parser.error(str(exc))
+    result = _usage(parser, angular_slice, coeffs, spec, from_si(args.t), grid, r=args.radius)
     values = result.values
     parts = _chunks(values.size)
     columns = {
@@ -360,7 +309,7 @@ def cmd_verify(parser, args) -> int:
         )
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
-    covered = 0
+    model, kernel, covered = PhaseModel(args.model), None, 0
     for pred in preds:
         span = _window_range(pred, grid)
         if span is None:
@@ -372,15 +321,13 @@ def cmd_verify(parser, args) -> int:
                 f"t_sr/{pred.q}, more than the {MAX_SAMPLES} sample budget; use "
                 "smaller --nbar"
             )
-        # The tables depend on the grid only, so the first covered window's
-        # check decides; it follows that window's sample budget check.
-        _check_kernel(parser, coeffs, grid.count)
-    model, kernel = PhaseModel(args.model), None
+        # The tables depend on the grid only: formed, and their limits
+        # checked, once the first covered window passes its sample budget.
+        kernel = kernel or _usage(parser, _a2_kernel, coeffs, model, spec, grid)
 
     def samples(start: int, stop: int):
         # the tables go once the last covered window is evaluated, before it is judged
         nonlocal kernel, covered
-        kernel = kernel or _a2_kernel(coeffs, model, spec, grid)
         values, covered = kernel.evaluate(start, stop), covered - 1
         kernel = kernel if covered else None
         return values

@@ -21,7 +21,9 @@ from rydlab import (
     autocorrelation,
     from_si,
     gaussian_packet,
+    reconstruct,
     timescales,
+    weights,
 )
 from rydlab import autocorr
 from rydlab.autocorr import _Kernel, _a2_chunks, _cycle_rates, _kernel_bytes, phase_cycles
@@ -479,3 +481,42 @@ def test_largest_nbar_keeps_rates_and_signal_finite(model):
     assert np.all(np.isfinite(signal.values))
     with pytest.raises(ValueError, match="nbar must be <="):
         AtomSpec(np.nextafter(MAX_NBAR, math.inf), 2.5)
+
+
+def _past_the_floor(call, spec, factor):
+    """call's result at the time where the largest exact-rate phase of the
+    packet of spec is factor x 2^53 cycles; the reconstruct case ignores the
+    time and works at nbar = 10^12, q = 6."""
+    coeffs = gaussian_packet(spec)
+    top = float(np.max(np.abs(_cycle_rates(PhaseModel.EXACT, spec.nstar, coeffs.offsets)[0])))
+    t = 2.0**53 * factor / top
+    if call == "autocorrelation":
+        return autocorrelation(coeffs, PhaseModel.EXACT, spec, TimeGrid(t, 1.0, 1))
+    if call == "autocorrelation-1e290s":
+        return autocorrelation(coeffs, PhaseModel.EXACT, spec, TimeGrid(from_si(1e290), 1.0, 1))
+    if call == "angular_slice":
+        return angular_slice(coeffs, spec, t, AngularGrid(-math.pi, math.pi / 4, 8))
+    if call == "phase_cycles":
+        return phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
+    far = AtomSpec(1e12, 2.5)
+    prediction = weights(10**12, 6)
+    return reconstruct(gaussian_packet(far), prediction, far, prediction.time_center)
+
+
+@pytest.mark.parametrize("call", ["autocorrelation", "angular_slice", "phase_cycles",
+                                  "reconstruct", "autocorrelation-1e290s"])
+def test_library_refuses_phases_past_the_precision_floor(call, spec48):
+    """Past max_k |nu_k t| = 2^53 cycles the double-double phase keeps no
+    fractional bits a double can use, and the layer raises where the CLI
+    exits 2: at 1e200 s autocorrelation returned |A|^2 = 1.0, angular_slice
+    the t = 0 ring, reconstruct at nbar = 10^12, q = 6 a residual of 4.4e-4,
+    and at 1e290 s the overflowed time split gave NaNs.  Just below the
+    floor |A|^2 matches a 40-digit sum to 1e-13."""
+    with pytest.raises(ValueError, match=r"past the 2\^53-cycle precision floor"):
+        _past_the_floor(call, spec48, 1 + 1e-6)
+    if call == "autocorrelation":
+        inside = _past_the_floor(call, spec48, 1 - 1e-6)
+        want = mp_a2(gaussian_packet(spec48), PhaseModel.EXACT, spec48.nstar, inside.t0, 1.0, 0)
+        assert abs(inside.values[0] - want) < 1e-13
+    elif call in ("angular_slice", "phase_cycles"):
+        _past_the_floor(call, spec48, 1 - 1e-6)

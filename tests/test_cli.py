@@ -33,8 +33,8 @@ from rydlab import (
     timescales,
     to_si,
 )
-from rydlab.autocorr import _cycle_rates, _kernel_bytes
-from rydlab.cli import MAX_KERNEL_BYTES, MAX_Q, MAX_SAMPLES, build_parser, main
+from rydlab.autocorr import MAX_KERNEL_BYTES, _Kernel, _cycle_rates, _kernel_bytes
+from rydlab.cli import MAX_Q, MAX_SAMPLES, build_parser, main
 
 SCI_12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -656,6 +656,15 @@ def test_time_past_the_precision_floor_is_usage_error(argv, capsys):
     assert "past the 2^53-cycle precision floor" in captured.err.splitlines()[-1]
 
 
+def test_single_sample_autocorr_judges_tmin_only(capsys):
+    """At --samples 1 the grid is [--tmin]: a --tmax past the precision
+    floor is never evaluated, so it is no usage error."""
+    argv = ["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e200", "--samples", "1"]
+    assert main(argv) == 0
+    want = "t_au,t_si,a2\n0.00000000000e+00,0.00000000000e+00,1.00000000000e+00\n"
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("model", list(PhaseModel), ids=lambda m: m.value)
 def test_time_at_the_precision_floor(model, capsys):
     """A time whose largest phase max_k |nu_k t| sits just below 2^53 cycles
@@ -744,32 +753,31 @@ def test_huge_sigma_is_usage_error_before_any_output(argv, nbar, sigma, monkeypa
 
 
 # Admitted sizes (sigma = 10^3, up to the 10^7 sample budget) whose kernel
-# tables would pass MAX_KERNEL_BYTES, with the kernel entry each command
-# calls, named in the layer it is imported from.
+# tables would pass MAX_KERNEL_BYTES.
 OVERSIZED_KERNEL_COMMANDS = {
-    "autocorr": (["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0",
-                  "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)],
-                 "rydlab.autocorr._a2_chunks"),
-    "slice": (["slice", "--nbar", "1e6", "--sigma", "1000", "--t", "0",
-               "--points", str(MAX_SAMPLES)], "rydlab.circular.angular_slice"),
+    "autocorr": ["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0",
+                 "--tmax", "1e-9", "--samples", str(MAX_SAMPLES)],
+    "slice": ["slice", "--nbar", "1e6", "--sigma", "1000", "--t", "0",
+              "--points", str(MAX_SAMPLES)],
     # 12,034 terms on a 9.0e5-sample grid: 948 columns of V
-    "verify": (["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
-               "rydlab.autocorr._a2_kernel"),
+    "verify": ["verify", "--nbar", "5000", "--sigma", "1000", "--q", "300"],
 }
 
 
-@pytest.mark.parametrize("argv, kernel", OVERSIZED_KERNEL_COMMANDS.values(),
+@pytest.mark.parametrize("argv", OVERSIZED_KERNEL_COMMANDS.values(),
                          ids=OVERSIZED_KERNEL_COMMANDS.keys())
-def test_oversized_kernel_is_usage_error_before_the_kernel(argv, kernel, monkeypatch,
-                                                           capsys):
+def test_oversized_kernel_is_usage_error_before_the_kernel(argv, capsys):
     """Terms x grid past the kernel budget exits 2 with nothing written,
-    before the kernel runs."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("kernel reached for an oversized terms x grid request")
-
-    monkeypatch.setattr(kernel, unreachable)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    before the kernel allocates a table: the traced peak stays below an
+    eighth of the budget (the tables would take 189-729 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_KERNEL_BYTES // 8
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -779,8 +787,9 @@ def test_oversized_kernel_is_usage_error_before_the_kernel(argv, kernel, monkeyp
 def test_kernel_budget_edge_at_sigma_1000(monkeypatch, capsys):
     """At sigma = 10^3 (14,263 terms) the kernel holds K*(B + 32) + 32*B
     complex values with B = isqrt(samples): B = 554 fits the budget and
-    B = 555 does not, so 555^2 - 1 = 308,024 samples reach the kernel and
-    one more exits 2 before it."""
+    B = 555 does not, so at 555^2 - 1 = 308,024 samples the kernel passes
+    its checks and goes on to form V, and one more exits 2 before any table
+    is allocated."""
     class Reached(Exception):
         pass
 
@@ -788,7 +797,8 @@ def test_kernel_budget_edge_at_sigma_1000(monkeypatch, capsys):
         raise Reached
 
     assert _kernel_bytes(14_263, 308_024) <= MAX_KERNEL_BYTES < _kernel_bytes(14_263, 308_025)
-    monkeypatch.setattr("rydlab.autocorr._a2_chunks", reached)
+    # V's tiles are where its entries are formed; its 126 MB are never written
+    monkeypatch.setattr("rydlab.autocorr._tiles", reached)
     argv = ["autocorr", "--nbar", "1e6", "--sigma", "1000", "--tmin", "0", "--tmax", "1e-9",
             "--samples"]
     with pytest.raises(Reached):
@@ -804,9 +814,10 @@ def test_kernel_budget_edge_at_sigma_1000(monkeypatch, capsys):
 def test_kernel_budget_admits_narrow_packets_at_every_size():
     """37 terms (nbar = 320, sigma = 2.5) pass the kernel budget at the full
     sample budget, and sigma = 10^3 passes at a 4096-point slice."""
-    parser = build_parser()
-    cli._check_kernel(parser, gaussian_packet(AtomSpec(320, 2.5)), MAX_SAMPLES)
-    cli._check_kernel(parser, gaussian_packet(AtomSpec(1e6, 1000)), 4096)
+    for spec, count in ((AtomSpec(320, 2.5), MAX_SAMPLES), (AtomSpec(1e6, 1000), 4096)):
+        coeffs = gaussian_packet(spec)
+        rate = _cycle_rates(PhaseModel.EXACT, spec.nstar, coeffs.offsets)
+        _Kernel(coeffs.probabilities, rate, 0.0, 1.0, count)
 
 
 # The writers before output was streamed, kept verbatim as the oracle that
