@@ -14,6 +14,7 @@ signal, the command runs the |A|^2 kernel on that window alone.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -223,9 +224,21 @@ def verify(
     spacing must match the predicted periodicity within tolerance
     (relative).  Windows not fully covered by the signal yield status
     "not evaluated"; windows with fewer than three detected peaks fail.
+    ValueError, before any window is searched, unless 0 < threshold <= 1
+    and tolerance is finite and > 0 (_check_detection).
     """
     return _verify(predictions, TimeGrid(signal.t0, signal.dt, signal.values.size),
                    lambda start, stop: signal.values[start:stop], threshold, tolerance)
+
+
+def _check_detection(threshold: float, tolerance: float) -> None:
+    """ValueError unless 0 < threshold <= 1 and tolerance is finite and > 0:
+    NaN fails every comparison and is not JSON, and an infinite tolerance
+    would pass every evaluated window."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
 def _verify(predictions: list[SuperrevivalPrediction], grid: TimeGrid, samples,
@@ -233,6 +246,7 @@ def _verify(predictions: list[SuperrevivalPrediction], grid: TimeGrid, samples,
     """The entries of verify for |A|^2 on grid, where samples(start, stop)
     returns the samples at grid indices [start, stop); it is asked for the
     windows the grid covers and nothing else."""
+    _check_detection(threshold, tolerance)
     entries = []
     for pred in predictions:
         span = _window_range(pred, grid)

@@ -190,12 +190,12 @@ _MAX_CYCLES = 2**53
 
 
 def _check_cycles(rate, x) -> None:
-    """ValueError when max_k |rate_k| * max |x| passes the precision floor,
-    for a double-double rate table and the points x (a.u. or radians) it is
-    reduced at."""
+    """ValueError when max_k |rate_k| * max |x| passes the precision floor
+    or is NaN, for a double-double rate table and the points x (a.u. or
+    radians) it is reduced at."""
     top = float(np.max(np.abs(x), initial=0.0))
     cycles = float(np.max(np.abs(rate[0]), initial=0.0)) * top
-    if cycles > _MAX_CYCLES:
+    if not cycles <= _MAX_CYCLES:
         raise ValueError(f"the phases reach {cycles:.3g} cycles at {top:g} a.u., past "
                          "the 2^53-cycle precision floor; use times nearer 0")
 
@@ -205,7 +205,7 @@ def phase_cycles(model: PhaseModel, k, t, spec: AtomSpec):
 
     k (offsets) and t (times) may be scalars or arrays; they broadcast.
     The constant E_{nbar} reference phase is dropped (it cancels in |A|^2).
-    ValueError past the precision floor (_check_cycles).
+    ValueError past the precision floor or at a NaN time (_check_cycles).
     """
     rate = _cycle_rates(model, spec.nstar, k)
     t = np.asarray(t, dtype=float)
@@ -328,13 +328,6 @@ class _Kernel:
             out[a - start : b - start] = held[a - first : b - first]
         return out
 
-    def chunks(self, start: int, stop: int, size: int):
-        """evaluate over [start, stop) as consecutive arrays of `size`
-        samples (the last may be shorter)."""
-        _check_range(start, stop, self.count)
-        for lo in range(start, stop, size):
-            yield self.evaluate(lo, min(lo + size, stop))
-
 
 def _check_range(start: int, stop: int, count: int) -> None:
     if not 0 <= start < stop <= count:
@@ -346,12 +339,6 @@ def _a2_kernel(coeffs: CoefficientSet, model: PhaseModel, spec: AtomSpec,
     """The kernel of |A|^2 at the exact grid times t0 + dt*i: weights p_k."""
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
     return _Kernel(coeffs.probabilities, rate, grid.t0, grid.dt, grid.count, squared=True)
-
-
-def _a2_chunks(coeffs, model, spec, grid, start: int, stop: int, size: int):
-    """|A|^2 at the exact grid times t0 + dt*i for i in [start, stop), in
-    chunks of `size` samples."""
-    return _a2_kernel(coeffs, model, spec, grid).chunks(start, stop, size)
 
 
 def autocorrelation(

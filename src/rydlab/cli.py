@@ -2,23 +2,25 @@
 
 Times cross the CLI boundary in SI seconds; computation runs in atomic
 units and data files carry both.  Every command writes through one
-streaming writer.  CHUNK_ROWS is the one block size of the output path:
-`autocorr` evaluates, formats and writes |A|^2 in chunks of CHUNK_ROWS
-rows, `slice` formats and writes Psi(phi) and `predict` each weight list b
-the same way, and the formatters format exactly the chunk they are given,
-each chunk written before the next is formed, so memory does not grow with
-the size of the text.  json.dumps lays out every JSON document (_json);
-only the items of its arrays are streamed into that layout.  CSV fields are
-the bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so
-are the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
-float.__repr__(x) (rydlab._reprformat); each module is imported by the
-command that writes it.  `predict` calls float.__repr__ itself: its b lists
-are at most q long, and loading the formatter there would only add import
-time.  Identical flags produce byte-identical output, whatever the chunk
-size.  `verify` evaluates only the windows t_sr/q +- t_rev it searches,
-bitwise as on the whole grid from t = 0, with one kernel whose tables it
-forms at the first window and frees before it judges the last, and judges
-them through the loop of rydlab.verify (analysis._verify).
+streaming writer, and `autocorr` and `slice` through one table writer
+(_table) that asks each column, a function of a row range, for the
+CHUNK_ROWS-row ranges of _chunks, once each and in order: `autocorr`'s
+|A|^2 is its kernel's evaluate(lo, hi), `slice` slices Psi(phi), and
+`predict` streams each weight list b in the same blocks.  The formatters
+format exactly the block they get, each written before the next is formed,
+so memory does not grow with the size of the text.  json.dumps lays out
+every JSON document (_json); only the items of its arrays are streamed into
+that layout.  CSV fields are the bytes of '%.11e' % x, formatted in numpy
+(rydlab._sciformat), and so are the numbers of the `autocorr` and `slice`
+JSON arrays, the bytes of float.__repr__(x) (rydlab._reprformat); each
+module is imported by the writer of its format.  `predict` calls
+float.__repr__ itself: its b lists are at most q long, and loading the
+formatter there would only add import time.  Identical flags produce
+byte-identical output, whatever the chunk size.  `verify` evaluates only
+the windows t_sr/q +- t_rev it searches, bitwise as on the whole grid from
+t = 0, with one kernel whose tables it forms at the first window and frees
+before it judges the last, and judges them through the loop of
+rydlab.verify (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -103,18 +105,6 @@ def _chunks(count: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_ROWS, count)) for lo in range(0, count, CHUNK_ROWS)]
 
 
-def _csv(columns: dict):
-    """CSV text of float columns, each an iterable of equal-length chunks
-    (float arrays): the header, then the rows of each chunk, every field
-    the bytes of '%.11e' % x."""
-    # Imported here, so that commands that write no CSV neither compile it
-    # nor build its tables.
-    from ._sciformat import csv_rows
-
-    yield ",".join(columns) + "\n"
-    yield from map(csv_rows, zip(*columns.values()))
-
-
 # The list entry json.dumps writes as "\u0000", which no record value holds:
 # _json streams an array's items in its place.
 _ITEMS = "\0"
@@ -135,15 +125,26 @@ def _json(record: dict, arrays) -> Iterator[str]:
     yield tail
 
 
-def _json_columns(scalars: dict, columns: dict) -> Iterator[str]:
-    """_json of scalars and one array per float column (an iterable of
-    chunks of finite floats), every number the bytes of float.__repr__(x)."""
-    # Imported here, so that commands that write no JSON column neither
-    # compile it nor build its tables.
-    from ._reprformat import json_values
+def _table(fmt: str, count: int, columns: dict, scalars: dict) -> Iterator[str]:
+    """The CSV or JSON text of count rows of float columns, each a function
+    (lo, hi) -> its values at rows [lo, hi), asked for each _chunks(count)
+    range once, in order.  CSV: the header, then every field the bytes of
+    '%.11e' % x.  JSON: _json of scalars and one array per column, every
+    number the bytes of float.__repr__(x)."""
+    los, his = zip(*_chunks(count))
+    blocks = [map(column, los, his) for column in columns.values()]
+    # Each formatter is imported here, so that commands that write neither
+    # format neither compile it nor build its tables.
+    if fmt == "csv":
+        from ._sciformat import csv_rows
 
-    arrays = [map(json_values, chunks) for chunks in columns.values()]
-    return _json({**scalars, **dict.fromkeys(columns, [_ITEMS])}, arrays)
+        yield ",".join(columns) + "\n"
+        yield from map(csv_rows, zip(*blocks))
+    else:
+        from ._reprformat import json_values
+
+        arrays = [map(json_values, block) for block in blocks]
+        yield from _json({**scalars, **dict.fromkeys(columns, [_ITEMS])}, arrays)
 
 
 def _write(parser: argparse.ArgumentParser, out_path: str | None, pieces) -> None:
@@ -221,7 +222,7 @@ def cmd_predict(parser, args) -> int:
 def cmd_autocorr(parser, args) -> int:
     import numpy as np
 
-    from .autocorr import PhaseModel, TimeGrid, _a2_chunks, _check_a2
+    from .autocorr import PhaseModel, TimeGrid, _a2_kernel, _check_a2
     from .packet import gaussian_packet
     from .spectrum import from_si, to_si
 
@@ -242,15 +243,13 @@ def cmd_autocorr(parser, args) -> int:
     grid = _usage(parser, TimeGrid, t0=t0, dt=dt, count=args.samples)
     coeffs = gaussian_packet(spec)
     # the kernel is formed here, so its limits are usage errors
-    a2 = _usage(parser, _a2_chunks, coeffs, PhaseModel(args.model), spec, grid, 0, grid.count,
-                CHUNK_ROWS)
-    parts = _chunks(grid.count)
+    kernel = _usage(parser, _a2_kernel, coeffs, PhaseModel(args.model), spec, grid)
     columns = {
-        "t_au": (grid.t0 + grid.dt * np.arange(lo, hi) for lo, hi in parts),
-        "t_si": (to_si(grid.t0 + grid.dt * np.arange(lo, hi)) for lo, hi in parts),
-        "a2": (_check_a2(values) for values in a2),
+        "t_au": lambda lo, hi: grid.t0 + grid.dt * np.arange(lo, hi),
+        "t_si": lambda lo, hi: to_si(grid.t0 + grid.dt * np.arange(lo, hi)),
+        "a2": lambda lo, hi: _check_a2(kernel.evaluate(lo, hi)),
     }
-    _write(parser, args.out, _csv(columns) if args.format == "csv" else _json_columns({}, columns))
+    _write(parser, args.out, _table(args.format, grid.count, columns, {}))
     return 0
 
 
@@ -269,32 +268,27 @@ def cmd_slice(parser, args) -> int:
                        count=args.points)
     coeffs = gaussian_packet(spec)
     result = _usage(parser, angular_slice, coeffs, spec, from_si(args.t), grid, r=args.radius)
-    values = result.values
-    parts = _chunks(values.size)
+    real, imag = result.values.real, result.values.imag
     columns = {
-        "phi": (grid.phi0 + grid.dphi * np.arange(lo, hi) for lo, hi in parts),
-        "re": (values.real[lo:hi] for lo, hi in parts),
-        "im": (values.imag[lo:hi] for lo, hi in parts),
+        "phi": lambda lo, hi: grid.phi0 + grid.dphi * np.arange(lo, hi),
+        "re": lambda lo, hi: real[lo:hi],
+        "im": lambda lo, hi: imag[lo:hi],
         # hypot is abs(complex) bitwise; numpy's abs differs in the last bit
-        "abs": (np.hypot(values.real[lo:hi], values.imag[lo:hi]) for lo, hi in parts),
+        "abs": lambda lo, hi: np.hypot(real[lo:hi], imag[lo:hi]),
     }
     scalars = {"t_si": args.t, "r_au": result.r}
-    text = _csv(columns) if args.format == "csv" else _json_columns(scalars, columns)
-    _write(parser, args.out, text)
+    _write(parser, args.out, _table(args.format, grid.count, columns, scalars))
     return 0
 
 
 def cmd_verify(parser, args) -> int:
-    from .analysis import _verify, _window_range
+    from .analysis import _check_detection, _verify, _window_range
     from .autocorr import PhaseModel, TimeGrid, _a2_kernel
     from .packet import gaussian_packet
     from .spectrum import timescales
 
     spec = _atom_spec(parser, args)
-    if not (0.0 < args.threshold <= 1.0):
-        parser.error(f"--threshold must be in (0, 1], got {args.threshold}")
-    if not 0.0 < args.tolerance < math.inf:
-        parser.error(f"--tolerance must be finite and > 0, got {args.tolerance}")
+    _usage(parser, _check_detection, args.threshold, args.tolerance)
     preds = _predictions(parser, args, spec)
     scales = timescales(spec)
     # The grid runs from t = 0 to the last window; only the windows are

@@ -197,7 +197,7 @@ def reconstruct(
     from .autocorr import PhaseModel, phase_cycles
 
     scales = timescales_from_nstar(spec.nstar)
-    if abs(t - prediction.time_center) > scales.t_rev * (1.0 + 1e-9):
+    if not abs(t - prediction.time_center) <= scales.t_rev * (1.0 + 1e-9):
         raise ValueError("t outside the expansion's validity window "
                          "(|t - t_sr/q| <= t_rev)")
     l, alpha, b = prediction.l, prediction.alpha, prediction.b

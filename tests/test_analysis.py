@@ -1,5 +1,6 @@
 """Peak detection, periodicity estimation, and prediction verification."""
 
+import math
 import time
 import tracemalloc
 
@@ -13,6 +14,7 @@ from rydlab import (
     AtomSpec,
     PeakTrain,
     Signal,
+    TimeGrid,
     estimate_periodicity,
     find_peaks,
     from_si,
@@ -21,7 +23,7 @@ from rydlab import (
     to_si,
     verify,
 )
-from rydlab.analysis import _median
+from rydlab.analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, _median, _verify
 
 
 def comb_signal(spacing, n_peaks, dt=0.05, width=0.4, amplitudes=None, noise=0.0, seed=0):
@@ -193,6 +195,27 @@ def test_verify_tight_tolerance_fails(spec48, signal48):
     entries = verify(prediction_table(spec48, (12, 6)), signal48, tolerance=1e-4)
     assert all(e.status == "fail" for e in entries)
     assert all(e.deviation is not None and e.deviation > 1e-4 for e in entries)
+
+
+@pytest.mark.parametrize("detection", [
+    {"tolerance": math.nan}, {"tolerance": -1.0}, {"tolerance": math.inf},
+    {"threshold": 1.5},
+], ids=["tolerance-nan", "tolerance-negative", "tolerance-inf", "threshold-1.5"])
+def test_verify_rejects_bad_detection_parameters(detection, spec48, signal48):
+    """What `rydlab verify` refuses with exit 2 the library refuses before
+    any window is searched: a NaN or negative tolerance failed every window
+    and an infinite one passed every window."""
+    preds = prediction_table(spec48, (12, 6))
+    with pytest.raises(ValueError, match=next(iter(detection))):
+        verify(preds, signal48, **detection)
+
+    def unreachable(start, stop):
+        raise AssertionError("a window was evaluated")
+
+    grid = TimeGrid(signal48.t0, signal48.dt, signal48.values.size)
+    detection = {"threshold": DEFAULT_THRESHOLD, "tolerance": DEFAULT_TOLERANCE, **detection}
+    with pytest.raises(ValueError):
+        _verify(preds, grid, unreachable, **detection)
 
 
 def test_verification_entry_json(spec48, signal48):

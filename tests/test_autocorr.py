@@ -26,7 +26,7 @@ from rydlab import (
     weights,
 )
 from rydlab import autocorr
-from rydlab.autocorr import _Kernel, _a2_chunks, _cycle_rates, _kernel_bytes, phase_cycles
+from rydlab.autocorr import _Kernel, _a2_kernel, _cycle_rates, _kernel_bytes, phase_cycles
 from rydlab.spectrum import MAX_NBAR
 
 from conftest import a2_over_times, circular_distance
@@ -285,21 +285,26 @@ def test_grid_kernel_matches_mp_oracle_at_exact_grid_times(model, late_grid_640)
     assert worst < 1e-13
 
 
-def kernel_chunks(kernel, coeffs, model, spec, grid, start, stop, size):
-    """Chunks of |A|^2 ("a2") or of the complex amplitude ("amplitude") with
-    the packet's weights turned by fixed random phases, over one grid."""
+def grid_kernel(kernel, coeffs, model, spec, grid):
+    """The kernel of |A|^2 ("a2") or of the complex amplitude ("amplitude")
+    with the packet's weights turned by fixed random phases, over one grid."""
     if kernel == "a2":
-        return _a2_chunks(coeffs, model, spec, grid, start, stop, size)
+        return _a2_kernel(coeffs, model, spec, grid)
     turns = np.exp(2j * np.pi * np.random.default_rng(3).random(coeffs.offsets.size))
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
-    return _Kernel(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count).chunks(
-        start, stop, size)
+    return _Kernel(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count)
+
+
+def kernel_chunks(kernel, start, stop, size):
+    """kernel.evaluate over [start, stop) as consecutive arrays of `size`
+    samples (the last may be shorter)."""
+    return [kernel.evaluate(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
 def full_run(kernel, coeffs, model, spec, grid):
     if kernel == "a2":
         return autocorrelation(coeffs, model, spec, grid).values
-    return next(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count, grid.count))
+    return grid_kernel(kernel, coeffs, model, spec, grid).evaluate(0, grid.count)
 
 
 def with_amplitude_kernel(values):
@@ -316,16 +321,13 @@ def test_index_ranges_reproduce_full_grid_bitwise(kernel, model, late_grid_640):
     spec, coeffs, grid = late_grid_640
     full = full_run(kernel, coeffs, model, spec, grid)
     cuts = [0, 1, 2, 130, 131, 4099, 4500, 12_000, grid.count - 1, grid.count]
-    parts = [
-        next(kernel_chunks(kernel, coeffs, model, spec, grid, lo, hi, hi - lo))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+    evaluator = grid_kernel(kernel, coeffs, model, spec, grid)
+    parts = [evaluator.evaluate(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate(parts), full)
     with pytest.raises(ValueError):
-        next(kernel_chunks(kernel, coeffs, model, spec, grid, 5, 5, 0))
+        evaluator.evaluate(5, 5)
     with pytest.raises(ValueError):
-        next(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count + 1,
-                           grid.count + 1))
+        evaluator.evaluate(0, grid.count + 1)
 
 
 @pytest.mark.parametrize("kernel, size", with_amplitude_kernel([1, 7, 4159, 4160, 4161, 17_101]))
@@ -335,11 +337,12 @@ def test_chunk_sizes_reproduce_full_grid_bitwise(kernel, size, late_grid_640):
     spec, coeffs, grid = late_grid_640
     model = PhaseModel.ORDER3
     full = full_run(kernel, coeffs, model, spec, grid)
-    chunks = list(kernel_chunks(kernel, coeffs, model, spec, grid, 0, grid.count, size))
+    evaluator = grid_kernel(kernel, coeffs, model, spec, grid)
+    chunks = kernel_chunks(evaluator, 0, grid.count, size)
     assert all(c.size == size for c in chunks[:-1]) and 0 < chunks[-1].size <= size
     assert np.array_equal(np.concatenate(chunks), full)
-    sub = kernel_chunks(kernel, coeffs, model, spec, grid, 131, 12_000, size)
-    assert np.array_equal(np.concatenate(list(sub)), full[131:12_000])
+    sub = kernel_chunks(evaluator, 131, 12_000, size)
+    assert np.array_equal(np.concatenate(sub), full[131:12_000])
 
 
 def kernel_outputs(coeffs, spec, grid):
@@ -347,8 +350,7 @@ def kernel_outputs(coeffs, spec, grid):
     floats): every caller of the amplitude kernel."""
     ring = AngularGrid(0.1, 2.0 * math.pi / 3001, 3001)
     psi = angular_slice(coeffs, spec, grid.t0, ring).values
-    a2 = [next(_a2_chunks(coeffs, model, spec, grid, 0, grid.count, grid.count))
-          for model in PhaseModel]
+    a2 = [_a2_kernel(coeffs, model, spec, grid).evaluate(0, grid.count) for model in PhaseModel]
     return np.concatenate(a2 + [psi.view(float)])
 
 
@@ -397,8 +399,8 @@ def test_formation_memory_stays_near_the_tables(evaluate, sigma, count):
                                    AngularGrid(0.0, 2.0 * math.pi / count, count)).values
         else:
             grid, start = TimeGrid(0.0, ts.t_cl / 20.0, count), count // 3
-            values = next(_a2_chunks(coeffs, PhaseModel.EXACT, spec, grid,
-                                     start, start + 2000, 2000))
+            kernel = _a2_kernel(coeffs, PhaseModel.EXACT, spec, grid)
+            values = kernel.evaluate(start, start + 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,6 +422,15 @@ def test_grid_kernel_close_to_rounded_time_reference(model, late_grid_640):
     values = autocorrelation(coeffs, model, spec, grid).values
     reference = a2_over_times(coeffs, model, spec, grid.times)
     assert float(np.max(np.abs(values - reference))) < 1e-10
+
+
+def test_phase_cycles_refuses_nan_times(spec48):
+    """NaN fails every comparison, so the floor test is written to fail it:
+    a NaN time raises instead of returning NaN phases."""
+    with pytest.raises(ValueError, match="precision floor"):
+        phase_cycles(PhaseModel.EXACT, [1, 2], math.nan, spec48)
+    with pytest.raises(ValueError, match="precision floor"):
+        phase_cycles(PhaseModel.ORDER3, [1, 2], [0.0, math.nan], spec48)
 
 
 def test_phase_cycles_vectorised_over_offsets(spec320):

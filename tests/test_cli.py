@@ -946,11 +946,11 @@ def percent_csv(values: np.ndarray) -> str:
 
 
 def vectorised_csv(values: np.ndarray) -> str:
-    """cli._csv of the same array, fed in CHUNK_ROWS chunks per column."""
-    parts = cli._chunks(len(values))
-    columns = {f"c{j}": [column[lo:hi] for lo, hi in parts]
+    """cli._table's CSV of the same array, each column sliced in CHUNK_ROWS
+    row ranges."""
+    columns = {f"c{j}": lambda lo, hi, column=column: column[lo:hi]
                for j, column in enumerate(values.T)}
-    return "".join(cli._csv(columns))
+    return "".join(cli._table("csv", len(values), columns, {}))
 
 
 def assert_same_lines(got: str, want: str):
@@ -1027,9 +1027,9 @@ def repr_json(values: np.ndarray) -> str:
 
 
 def vectorised_json(values: np.ndarray) -> str:
-    """cli._json_columns of the same values, fed in CHUNK_ROWS chunks."""
-    chunks = [values[lo:hi] for lo, hi in cli._chunks(len(values))]
-    return "".join(cli._json_columns({}, {"c": chunks}))
+    """cli._table's JSON of the same values, sliced in CHUNK_ROWS row
+    ranges."""
+    return "".join(cli._table("json", len(values), {"c": lambda lo, hi: values[lo:hi]}, {}))
 
 
 def hard_json_values() -> np.ndarray:
@@ -1203,13 +1203,32 @@ def test_autocorr_checks_every_chunk(monkeypatch, capsys):
     """The [0, 1] and finiteness checks of Signal run on each streamed chunk."""
     monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
 
-    def bad_second_chunk(*args):
-        yield np.array([0.5, 0.5])
-        yield np.array([0.5, math.nan])
+    def bad_second_chunk(kernel, start, stop):
+        return np.array([0.5, 0.5 if start == 0 else math.nan])
 
-    monkeypatch.setattr("rydlab.autocorr._a2_chunks", bad_second_chunk)
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "evaluate", bad_second_chunk)
     with pytest.raises(ValueError, match="finite"):
         main(["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "1e-10", "--samples", "4"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_autocorr_evaluates_each_row_once(fmt, monkeypatch, capsys):
+    """The kernel is asked for the _chunks ranges of the grid, once each and
+    in order, whichever format writes them."""
+    evaluate = rydlab.autocorr._Kernel.evaluate
+    asked = []
+
+    def recorded(kernel, start, stop):
+        asked.append((start, stop))
+        return evaluate(kernel, start, stop)
+
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "evaluate", recorded)
+    count = 3 * cli.CHUNK_ROWS + 1
+    assert main(["autocorr", *ATOM_48, "--tmin", "0", "--tmax", "4e-9",
+                 "--samples", str(count), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert asked == cli._chunks(count)
+    assert asked[-1] == (3 * cli.CHUNK_ROWS, count)
 
 
 def test_closed_stdout_pipe_exits_quietly():

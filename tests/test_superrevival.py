@@ -361,6 +361,13 @@ def test_reconstruction_window_precondition():
         reconstruct(coeffs, pred, spec, ts.t_sr / 6.0 + 1.5 * ts.t_rev)
 
 
+def test_reconstruction_refuses_nan_time():
+    """NaN fails the window test instead of giving a NaN residual."""
+    spec = AtomSpec(320, 2.5)
+    with pytest.raises(ValueError, match="validity window"):
+        reconstruct(gaussian_packet(spec), weights(320, 6), spec, math.nan)
+
+
 def test_prediction_table_320():
     """Times 7.08, 14.2, 21.2, 28.3, 42.5 us; periodicities t_rev/12 ... t_rev/2."""
     spec = AtomSpec(320, 2.5)
