@@ -190,10 +190,12 @@ _MAX_CYCLES = 2**53
 
 
 def _check_cycles(rate, x) -> None:
-    """ValueError when max_k |rate_k| * max |x| passes the precision floor
-    or is NaN, for a double-double rate table and the points x (a.u. or
-    radians) it is reduced at."""
+    """ValueError when a point is NaN, or when max_k |rate_k| * max |x|
+    passes the precision floor or is NaN, for a double-double rate table
+    and the points x (a.u. or radians) it is reduced at."""
     top = float(np.max(np.abs(x), initial=0.0))
+    if math.isnan(top):
+        raise ValueError("times must not be NaN")
     cycles = float(np.max(np.abs(rate[0]), initial=0.0)) * top
     if not cycles <= _MAX_CYCLES:
         raise ValueError(f"the phases reach {cycles:.3g} cycles at {top:g} a.u., past "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ddmath as dd
-from .autocorr import PhaseModel, _Kernel, phase_cycles
+from .autocorr import PhaseModel, _check_range, _Kernel, phase_cycles
 from .packet import CoefficientSet
 from .spectrum import AtomSpec
 
@@ -37,26 +37,52 @@ class AngularGrid:
             raise ValueError(f"dphi must be > 0, got {self.dphi}")
 
 
-@dataclass(frozen=True)
 class AngularSlice:
-    """Complex amplitudes Psi(phi) on a ring of radius r at time t."""
+    """Complex amplitudes Psi(phi) at the points phi0 + dphi*i of a ring of
+    radius r at time t.
 
-    phi0: float
-    dphi: float
-    values: np.ndarray
-    t: float
-    r: float
+    values holds the amplitudes, or the ring's amplitude kernel (as
+    angular_slice passes it), from which evaluate(lo, hi) forms Psi one
+    index range at a time; either way every amplitude is checked to be
+    finite (ValueError).  .values is the whole ring: formed from the kernel
+    on its first read, bitwise as any partition into ranges gives it, after
+    which the kernel is dropped.
+    """
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if not np.isfinite(values).all():
-            raise ValueError("slice amplitudes must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+    def __init__(self, phi0: float, dphi: float, values, t: float, r: float):
+        self.phi0, self.dphi, self.t, self.r = phi0, dphi, t, r
+        if isinstance(values, _Kernel):
+            self._kernel, self._values, self.count = values, None, values.count
+        else:
+            values = _check_psi(np.asarray(values, dtype=np.complex128))
+            values.flags.writeable = False
+            self._kernel, self._values, self.count = None, values, values.size
+
+    def evaluate(self, lo: int, hi: int) -> np.ndarray:
+        """Psi at grid indices [lo, hi)."""
+        if self._kernel is None:
+            _check_range(lo, hi, self.count)
+            return self._values[lo:hi]
+        return _check_psi(self._kernel.evaluate(lo, hi))
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = self.evaluate(0, self.count)
+            values.flags.writeable = False
+            self._values, self._kernel = values, None
+        return self._values
 
     @property
     def phis(self) -> np.ndarray:
-        return self.phi0 + self.dphi * np.arange(self.values.size)
+        return self.phi0 + self.dphi * np.arange(self.count)
+
+
+def _check_psi(values: np.ndarray) -> np.ndarray:
+    """values, once every amplitude in it is checked to be finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("slice amplitudes must be finite")
+    return values
 
 
 def expectation_radius(nbar: float) -> float:
@@ -114,11 +140,14 @@ def angular_slice(
     Each eigenstate contributes c_k * exp(L_k - L_max) * exp(i[(n_k - 1) phi
     - theta_k(t)]) with L_k its log amplitude at the ring radius and L_max
     the largest of them (the common-scale normalization).  r defaults to
-    the expectation radius of the central state.  The sum is one run of the
-    amplitude kernel, with rates -(n_k - 1)/(2*pi) cycles per radian, so
-    Psi sits at the exact grid angles phi0 + dphi*i.  The rates need every
-    n_k - 1 exact, so nbar + max|k| must stay below 2^53 (ValueError), as
-    must the phases theta_k(t) and the kernel tables (autocorr._Kernel).
+    the expectation radius of the central state.  The sum is the amplitude
+    kernel of the grid, with rates -(n_k - 1)/(2*pi) cycles per radian, so
+    Psi sits at the exact grid angles phi0 + dphi*i.  The kernel's tables
+    are formed here, once, and the slice returned holds them: Psi is formed
+    by its evaluate(lo, hi) one index range at a time, or whole by .values.
+    The rates need every n_k - 1 exact, so nbar + max|k| must stay below
+    2^53 (ValueError), as must the phases theta_k(t) and the kernel tables
+    (autocorr._Kernel).
     """
     thetas = phase_cycles(PhaseModel.EXACT, coeffs.offsets, t, spec)
     largest = spec.nbar + float(np.abs(coeffs.offsets).max())
@@ -129,10 +158,12 @@ def angular_slice(
         r = expectation_radius(spec.nbar)
     logs = log_amplitude(spec.nbar + coeffs.offsets, r)
     weights = coeffs.weights * np.exp(logs - logs.max()) * np.exp(-2j * np.pi * thetas)
+    # finite weights of modulus <= 1 on unit phasors sum to a finite Psi
+    _check_psi(weights)
     m = spec.nbar + coeffs.offsets - 1.0
     rate = dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
-    values = _Kernel(weights, rate, grid.phi0, grid.dphi, grid.count).evaluate(0, grid.count)
-    return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=values, t=t, r=r)
+    kernel = _Kernel(weights, rate, grid.phi0, grid.dphi, grid.count)
+    return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=kernel, t=t, r=r)
 
 
 def resemblance(slice_a: AngularSlice, slice_b: AngularSlice) -> float:

@@ -5,15 +5,17 @@ units and data files carry both.  Every command writes through one
 streaming writer, and `autocorr` and `slice` through one table writer
 (_table) that asks each column, a function of a row range, for the
 CHUNK_ROWS-row ranges of _chunks, once each and in order: `autocorr`'s
-|A|^2 is its kernel's evaluate(lo, hi), `slice` slices Psi(phi), and
-`predict` streams each weight list b in the same blocks.  The formatters
-format exactly the block they get, each written before the next is formed,
-so memory does not grow with the size of the text.  json.dumps lays out
-every JSON document (_json); only the items of its arrays are streamed into
-that layout.  CSV fields are the bytes of '%.11e' % x, formatted in numpy
-(rydlab._sciformat), and so are the numbers of the `autocorr` and `slice`
-JSON arrays, the bytes of float.__repr__(x) (rydlab._reprformat); each
-module is imported by the writer of its format.  `predict` calls
+|A|^2 is its kernel's evaluate(lo, hi), and `slice`'s Psi(phi) the
+evaluate(lo, hi) of the ring kernel its AngularSlice holds, so neither
+command holds its whole output; `predict` streams each weight list b in
+the same blocks.  The formatters format exactly the block they get, each
+written before the next is formed, so memory does not grow with the size
+of the text.  json.dumps lays out every JSON document (_json); only the
+items of its arrays are streamed into that layout.  CSV fields are the
+bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so are
+the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
+float.__repr__(x) (rydlab._reprformat); each module is imported by the
+writer of its format.  `predict` calls
 float.__repr__ itself: its b lists are at most q long, and loading the
 formatter there would only add import time.  Identical flags produce
 byte-identical output, whatever the chunk size.  `verify` evaluates only
@@ -63,10 +65,11 @@ DEFAULT_VERIFY_Q = (12, 6)
 SAMPLES_PER_CLASSICAL_PERIOD = 20
 
 # Largest size a command evaluates: |A|^2 samples and slice points.
-# `autocorr` streams its text, but `verify` holds one window's samples and
-# its peak search (~27*nbar samples at 20 per Kepler period, whatever the
-# grid) and `slice` the whole Psi(phi); larger sizes are usage errors
-# rather than a MemoryError halfway through.
+# `autocorr` and `slice` stream their text block by block from the kernel,
+# so this bounds their run time, but `verify` holds one window's samples
+# and its peak search (~27*nbar samples at 20 per Kepler period, whatever
+# the grid); larger sizes are usage errors rather than a MemoryError
+# halfway through.
 MAX_SAMPLES = 10**7
 
 # Largest grid `verify` indexes: sample indices and grid times stay exact
@@ -254,6 +257,8 @@ def cmd_autocorr(parser, args) -> int:
 
 
 def cmd_slice(parser, args) -> int:
+    import functools
+
     import numpy as np
 
     from .circular import AngularGrid, angular_slice
@@ -267,14 +272,19 @@ def cmd_slice(parser, args) -> int:
     grid = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / args.points,
                        count=args.points)
     coeffs = gaussian_packet(spec)
+    # the ring kernel is formed here, so its limits are usage errors
     result = _usage(parser, angular_slice, coeffs, spec, from_si(args.t), grid, r=args.radius)
-    real, imag = result.values.real, result.values.imag
+    # The last block of Psi, for CSV, which asks re, im and abs for each block
+    # in turn: without it a block that straddles two of the kernel's 32-row
+    # products forms both again for each column (66 products instead of 14
+    # at 2x10^5 points).
+    psi = functools.lru_cache(maxsize=1)(result.evaluate)
     columns = {
         "phi": lambda lo, hi: grid.phi0 + grid.dphi * np.arange(lo, hi),
-        "re": lambda lo, hi: real[lo:hi],
-        "im": lambda lo, hi: imag[lo:hi],
+        "re": lambda lo, hi: psi(lo, hi).real,
+        "im": lambda lo, hi: psi(lo, hi).imag,
         # hypot is abs(complex) bitwise; numpy's abs differs in the last bit
-        "abs": lambda lo, hi: np.hypot(real[lo:hi], imag[lo:hi]),
+        "abs": lambda lo, hi: np.hypot(psi(lo, hi).real, psi(lo, hi).imag),
     }
     scalars = {"t_si": args.t, "r_au": result.r}
     _write(parser, args.out, _table(args.format, grid.count, columns, scalars))

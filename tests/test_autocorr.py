@@ -287,9 +287,13 @@ def test_grid_kernel_matches_mp_oracle_at_exact_grid_times(model, late_grid_640)
 
 def grid_kernel(kernel, coeffs, model, spec, grid):
     """The kernel of |A|^2 ("a2") or of the complex amplitude ("amplitude")
-    with the packet's weights turned by fixed random phases, over one grid."""
+    with the packet's weights turned by fixed random phases, over one grid,
+    or the ring slice ("ring", exact phases at t0) of as many points."""
     if kernel == "a2":
         return _a2_kernel(coeffs, model, spec, grid)
+    if kernel == "ring":
+        return angular_slice(coeffs, spec, grid.t0,
+                             AngularGrid(0.1, 2.0 * math.pi / grid.count, grid.count))
     turns = np.exp(2j * np.pi * np.random.default_rng(3).random(coeffs.offsets.size))
     rate = _cycle_rates(model, spec.nstar, coeffs.offsets)
     return _Kernel(coeffs.weights * turns, rate, grid.t0, grid.dt, grid.count)
@@ -304,6 +308,8 @@ def kernel_chunks(kernel, start, stop, size):
 def full_run(kernel, coeffs, model, spec, grid):
     if kernel == "a2":
         return autocorrelation(coeffs, model, spec, grid).values
+    if kernel == "ring":
+        return grid_kernel(kernel, coeffs, model, spec, grid).values
     return grid_kernel(kernel, coeffs, model, spec, grid).evaluate(0, grid.count)
 
 
@@ -315,9 +321,11 @@ def with_amplitude_kernel(values):
     ]
 
 
-@pytest.mark.parametrize("kernel, model", with_amplitude_kernel(list(PhaseModel)))
+@pytest.mark.parametrize("kernel, model", with_amplitude_kernel(list(PhaseModel)) + [
+    pytest.param("ring", PhaseModel.EXACT, id="ring")])
 def test_index_ranges_reproduce_full_grid_bitwise(kernel, model, late_grid_640):
-    """Uneven cuts, including single samples and cuts inside one block."""
+    """Uneven cuts, including single samples and cuts inside one block; the
+    ring slice's ranges concatenate to its .values."""
     spec, coeffs, grid = late_grid_640
     full = full_run(kernel, coeffs, model, spec, grid)
     cuts = [0, 1, 2, 130, 131, 4099, 4500, 12_000, grid.count - 1, grid.count]
@@ -425,12 +433,16 @@ def test_grid_kernel_close_to_rounded_time_reference(model, late_grid_640):
 
 
 def test_phase_cycles_refuses_nan_times(spec48):
-    """NaN fails every comparison, so the floor test is written to fail it:
-    a NaN time raises instead of returning NaN phases."""
-    with pytest.raises(ValueError, match="precision floor"):
+    """A NaN time raises instead of returning NaN phases, and says so: not
+    that the phases passed the precision floor."""
+    nan_time = "^times must not be NaN$"
+    with pytest.raises(ValueError, match=nan_time):
         phase_cycles(PhaseModel.EXACT, [1, 2], math.nan, spec48)
-    with pytest.raises(ValueError, match="precision floor"):
+    with pytest.raises(ValueError, match=nan_time):
         phase_cycles(PhaseModel.ORDER3, [1, 2], [0.0, math.nan], spec48)
+    with pytest.raises(ValueError, match=nan_time):
+        angular_slice(gaussian_packet(spec48), spec48, math.nan,
+                      AngularGrid(-math.pi, math.pi / 4, 8))
 
 
 def test_phase_cycles_vectorised_over_offsets(spec320):

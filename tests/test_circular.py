@@ -1,6 +1,7 @@
 """Angular slices of circular packets and the log-domain state amplitudes."""
 
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +22,7 @@ from rydlab import (
     timescales,
 )
 
+from rydlab import autocorr
 from rydlab.autocorr import phase_cycles
 
 GRID = AngularGrid(phi0=-math.pi, dphi=2.0 * math.pi / 4096, count=4096)
@@ -284,6 +286,46 @@ def test_resemblance_properties(slice_t0):
     other = AngularSlice(phi0=0.0, dphi=0.1, values=np.ones(7), t=0.0, r=1.0)
     with pytest.raises(ValueError):
         resemblance(slice_t0, other)
+
+
+def test_slice_forms_values_once_and_drops_its_kernel(coeffs, spec, monkeypatch):
+    """phis reads the grid size only.  The first read of .values forms the
+    whole ring in one kernel call and drops the kernel; later reads and
+    evaluate(lo, hi) serve the held values."""
+    evaluate = autocorr._Kernel.evaluate
+    asked, kernels = [], []
+
+    def recorded(kernel, start, stop):
+        asked.append((start, stop))
+        kernels.append(weakref.ref(kernel))
+        return evaluate(kernel, start, stop)
+
+    monkeypatch.setattr(autocorr._Kernel, "evaluate", recorded)
+    result = angular_slice(coeffs, spec, 0.0, GRID)
+    assert np.array_equal(result.phis, GRID.phi0 + GRID.dphi * np.arange(GRID.count))
+    assert asked == []
+    block = result.evaluate(5, 9)
+    values = result.values
+    assert asked == [(5, 9), (0, GRID.count)] and kernels[0]() is None
+    assert result.values is values and not values.flags.writeable
+    assert np.array_equal(result.evaluate(5, 9), block) and len(asked) == 2
+    with pytest.raises(ValueError):
+        result.evaluate(0, GRID.count + 1)
+
+
+def test_slice_checks_every_block(coeffs, spec, monkeypatch):
+    """Each block the kernel gives is checked to be finite, as a slice built
+    from values is."""
+    def bad_second_block(kernel, start, stop):
+        return np.where(np.arange(start, stop) < 2, 1.0, math.nan).astype(complex)
+
+    monkeypatch.setattr(autocorr._Kernel, "evaluate", bad_second_block)
+    result = angular_slice(coeffs, spec, 0.0, GRID)
+    assert result.evaluate(0, 2).tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError, match="finite"):
+        result.evaluate(2, 4)
+    with pytest.raises(ValueError, match="finite"):
+        result.values
 
 
 def test_grid_and_slice_validation():

@@ -522,6 +522,24 @@ def test_output_peaks_near_the_kernel(argv, monkeypatch):
     assert peaks["output"] <= peaks["kernel"] + OUTPUT_MARGIN, peaks
 
 
+def test_slice_memory_does_not_grow_with_points():
+    """A 10^6-point slice takes Psi(phi) block by block from its ring
+    kernel (1.1 MB of tables), so the whole command's traced peak stays
+    under 3 MB: it was 17.5 MB when the slice held Psi whole (16 MB)."""
+    # imported before tracing: the formatter's tables do not grow with --points
+    from rydlab import _sciformat  # noqa: F401
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["slice", "--nbar", "320", "--sigma", "2.5", "--t", "42.48e-6",
+                     "--points", "1000000", "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak
+
+
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
     """A q past MAX_Q (l <= q weights) exits 2 with nothing written, before
@@ -1229,6 +1247,27 @@ def test_autocorr_evaluates_each_row_once(fmt, monkeypatch, capsys):
     capsys.readouterr()
     assert asked == cli._chunks(count)
     assert asked[-1] == (3 * cli.CHUNK_ROWS, count)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_slice_evaluates_each_block_per_column(fmt, monkeypatch, capsys):
+    """The ring kernel is asked for the _chunks ranges of the grid in order:
+    once each for CSV, whose re, im and abs columns share each block, and
+    once per column for JSON, which writes one column after another."""
+    evaluate = rydlab.autocorr._Kernel.evaluate
+    asked = []
+
+    def recorded(kernel, start, stop):
+        asked.append((start, stop))
+        return evaluate(kernel, start, stop)
+
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "evaluate", recorded)
+    count = 3 * cli.CHUNK_ROWS + 1
+    assert main(["slice", *ATOM_48, "--t", "1e-9", "--points", str(count),
+                 "--format", fmt]) == 0
+    capsys.readouterr()
+    chunks = cli._chunks(count)
+    assert asked == (chunks if fmt == "csv" else chunks * 3)
 
 
 def test_closed_stdout_pipe_exits_quietly():
