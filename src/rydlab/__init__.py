@@ -27,7 +27,8 @@ _LAYER_OF = {
         "spectrum": ("ATOMIC_UNIT_OF_TIME", "AtomSpec", "TimeScales", "energy", "from_si",
                      "timescales", "to_si"),
         "superrevival": ("FractionSpec", "IntegerConstants", "SuperrevivalPrediction",
-                         "integer_constants", "prediction_table", "reconstruct", "weights"),
+                         "SuperrevivalTiming", "integer_constants", "prediction_table",
+                         "reconstruct", "timing", "timing_table", "weights"),
     }.items()
     for name in names
 }

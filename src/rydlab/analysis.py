@@ -25,7 +25,7 @@ from .autocorr import Signal, TimeGrid, _window_indices
 from .spectrum import to_si
 
 if TYPE_CHECKING:
-    from .superrevival import SuperrevivalPrediction
+    from .superrevival import SuperrevivalTiming
 
 # Detection defaults for superrevival windows.  The relative threshold
 # rejects classical-period ripple; the separation of 0.6 periods keeps one
@@ -176,7 +176,7 @@ def estimate_periodicity(
     )
 
 
-def _window_range(pred: SuperrevivalPrediction, grid: TimeGrid):
+def _window_range(pred: SuperrevivalTiming, grid: TimeGrid):
     """The index range [start, stop) of the window time_center +- t_rev (the
     revival time implied by the prediction) that verify searches on grid, as
     Signal.window selects it; None when the grid does not cover the window."""
@@ -189,7 +189,7 @@ def _window_range(pred: SuperrevivalPrediction, grid: TimeGrid):
 
 
 def _judge(
-    pred: SuperrevivalPrediction, window: Signal | None, threshold: float, tolerance: float
+    pred: SuperrevivalTiming, window: Signal | None, threshold: float, tolerance: float
 ) -> VerificationEntry:
     """The entry of one prediction from the samples of its window (see
     verify); "not evaluated" when window is None."""
@@ -211,12 +211,16 @@ def _judge(
 
 
 def verify(
-    predictions: list[SuperrevivalPrediction],
+    predictions: list[SuperrevivalTiming],
     signal: Signal,
     threshold: float = DEFAULT_THRESHOLD,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationEntry]:
     """Check each prediction's window of the signal for the predicted comb.
+
+    A prediction is a SuperrevivalTiming (timing_table) or a full
+    SuperrevivalPrediction (prediction_table); only its q, time_center and
+    periodicity are read.
 
     For every prediction the window time_center +- t_rev (the revival time
     implied by the prediction) is searched for peaks at least
@@ -241,7 +245,7 @@ def _check_detection(threshold: float, tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
-def _verify(predictions: list[SuperrevivalPrediction], grid: TimeGrid, samples,
+def _verify(predictions: list[SuperrevivalTiming], grid: TimeGrid, samples,
             threshold: float, tolerance: float) -> list[VerificationEntry]:
     """The entries of verify for |A|^2 on grid, where samples(start, stop)
     returns the samples at grid indices [start, stop); it is asked for the

@@ -18,11 +18,13 @@ float.__repr__(x) (rydlab._reprformat); each module is imported by the
 writer of its format.  `predict` calls
 float.__repr__ itself: its b lists are at most q long, and loading the
 formatter there would only add import time.  Identical flags produce
-byte-identical output, whatever the chunk size.  `verify` evaluates only
-the windows t_sr/q +- t_rev it searches, bitwise as on the whole grid from
-t = 0, with one kernel whose tables it forms at the first window and frees
-before it judges the last, and judges them through the loop of
-rydlab.verify (analysis._verify).
+byte-identical output, whatever the chunk size.  `verify` forms each q's
+time and periodicity only (rydlab.superrevival.timing_table), no weights,
+so it runs no FFT and loads no numpy.fft.  It evaluates only the windows
+t_sr/q +- t_rev it searches, bitwise as on the whole grid from t = 0, with
+one kernel whose tables it forms at the first window and frees before it
+judges the last, and judges them through the loop of rydlab.verify
+(analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -76,10 +78,11 @@ MAX_SAMPLES = 10**7
 # in double arithmetic below 2^53.
 MAX_GRID_INDEX = 2**53
 
-# Largest --q.  A prediction holds l <= q weights, and their inverse FFT
+# Largest --q.  `predict` forms l <= q weights per q, and their inverse FFT
 # peaks at ~176 bytes per weight when l has a large prime factor (measured
 # at l = 999,993 = 3 x 333,331: 197 MB), so no admitted q needs much more
-# than 200 MB.
+# than 200 MB there.  `verify` forms each q's time and periodicity only, at
+# any q; it keeps the bound as an input check.
 MAX_Q = 10**6
 
 # Largest |time| a command takes, in seconds: the grid ends of `autocorr`
@@ -180,13 +183,13 @@ def _atom_spec(parser: argparse.ArgumentParser, args) -> AtomSpec:
     return _usage(parser, AtomSpec, nbar=args.nbar, sigma=args.sigma, defect=args.defect)
 
 
-def _predictions(parser: argparse.ArgumentParser, args, spec: AtomSpec) -> list:
-    from .superrevival import prediction_table
-
+def _per_q(parser: argparse.ArgumentParser, args, spec: AtomSpec, table) -> list:
+    """table(spec, qs) of rydlab.superrevival for the --q list (default
+    DEFAULT_VERIFY_Q), once every q passes MAX_Q."""
     qs = args.q if args.q else list(DEFAULT_VERIFY_Q)
     if max(qs) > MAX_Q:
         parser.error(f"--q must be <= {MAX_Q}, got {max(qs)}")
-    return _usage(parser, prediction_table, spec, qs)
+    return _usage(parser, table, spec, qs)
 
 
 def _check_seconds(parser: argparse.ArgumentParser, flag: str, value: float) -> None:
@@ -215,8 +218,10 @@ def _predict_json(head: dict, preds) -> Iterator[str]:
 
 
 def cmd_predict(parser, args) -> int:
+    from .superrevival import prediction_table
+
     spec = _atom_spec(parser, args)
-    preds = _predictions(parser, args, spec)
+    preds = _per_q(parser, args, spec, prediction_table)
     head = {"nbar": args.nbar, "sigma": args.sigma, "defect": args.defect}
     _write(parser, args.out, _predict_json(head, preds))
     return 0
@@ -296,33 +301,35 @@ def cmd_verify(parser, args) -> int:
     from .autocorr import PhaseModel, TimeGrid, _a2_kernel
     from .packet import gaussian_packet
     from .spectrum import timescales
+    from .superrevival import timing_table
 
     spec = _atom_spec(parser, args)
     _usage(parser, _check_detection, args.threshold, args.tolerance)
-    preds = _predictions(parser, args, spec)
+    # the windows and their verdicts need each q's time and periodicity only
+    timings = _per_q(parser, args, spec, timing_table)
     scales = timescales(spec)
     # The grid runs from t = 0 to the last window; only the windows are
     # evaluated, each bitwise as a run over the whole grid would give it.
-    t_end = max(p.time_center for p in preds) + scales.t_rev
+    t_end = timings[-1].time_center + scales.t_rev
     dt = scales.t_cl / SAMPLES_PER_CLASSICAL_PERIOD
     count = int(math.ceil(t_end / dt)) + 2
     if count > MAX_GRID_INDEX:
         parser.error(
-            f"verify would index {count} samples to reach t_sr/{preds[-1].q}, more than "
+            f"verify would index {count} samples to reach t_sr/{timings[-1].q}, more than "
             f"{MAX_GRID_INDEX}; use larger --q or smaller --nbar"
         )
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
     model, kernel, covered = PhaseModel(args.model), None, 0
-    for pred in preds:
-        span = _window_range(pred, grid)
+    for timing in timings:
+        span = _window_range(timing, grid)
         if span is None:
             continue
         covered += 1
         if span[1] - span[0] > MAX_SAMPLES:
             parser.error(
                 f"verify would hold {span[1] - span[0]} samples in the window at "
-                f"t_sr/{pred.q}, more than the {MAX_SAMPLES} sample budget; use "
+                f"t_sr/{timing.q}, more than the {MAX_SAMPLES} sample budget; use "
                 "smaller --nbar"
             )
         # The tables depend on the grid only: formed, and their limits
@@ -336,7 +343,7 @@ def cmd_verify(parser, args) -> int:
         kernel = kernel if covered else None
         return values
 
-    entries = _verify(preds, grid, samples, args.threshold, args.tolerance)
+    entries = _verify(timings, grid, samples, args.threshold, args.tolerance)
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {

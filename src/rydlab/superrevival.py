@@ -61,16 +61,22 @@ class IntegerConstants(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SuperrevivalPrediction:
-    """Predicted structure at t ~ t_sr/q: weights, time window, periodicity."""
+class SuperrevivalTiming:
+    """Predicted time center t_sr/q and comb periodicity (3/q) t_rev of one q."""
 
     q: int
+    time_center: float
+    periodicity: float
+
+
+@dataclass(frozen=True)
+class SuperrevivalPrediction(SuperrevivalTiming):
+    """A timing with the subsidiary-packet weights b_s and their integers."""
+
     l: int
     alpha: int
     N: int
     b: np.ndarray
-    time_center: float
-    periodicity: float
     kind: str
 
     def to_dict(self) -> dict:
@@ -97,14 +103,14 @@ def _as_integer_nbar(nbar) -> int:
         raise ValueError(
             f"the subsidiary-packet integer arithmetic needs integer nbar, got {nbar}"
         )
+    if nbar < 1:
+        raise ValueError(f"nbar must be a positive integer, got {int(nbar)}")
     return int(nbar)
 
 
 def integer_constants(nbar, q) -> IntegerConstants:
     """The integers (l, N, alpha) controlling the subsidiary-packet sum."""
     nbar = _as_integer_nbar(nbar)
-    if nbar < 1:
-        raise ValueError(f"nbar must be a positive integer, got {nbar}")
     q = _as_q(q)
     l = q // 3 if q % 9 == 0 else q
     # N is the part of 2*nbar made of primes that divide l: divide out their
@@ -118,8 +124,18 @@ def integer_constants(nbar, q) -> IntegerConstants:
     return IntegerConstants(l=l, N=N, alpha=(2 * nbar) // N)
 
 
+def timing(nstar, q) -> SuperrevivalTiming:
+    """The time center t_sr/q and periodicity (3/q) t_rev at effective
+    quantum number nstar: all that verify reads of a prediction."""
+    q = _as_q(q)
+    scales = timescales_from_nstar(float(nstar))
+    return SuperrevivalTiming(
+        q=q, time_center=scales.t_sr / q, periodicity=(3.0 / q) * scales.t_rev
+    )
+
+
 def weights(nbar, q) -> SuperrevivalPrediction:
-    """Subsidiary-packet weights b_s and the predicted time/periodicity.
+    """Subsidiary-packet weights b_s, with the timing(nbar, q) they hold at.
 
     The chirp phase 3*nbar*k'^2/(4q) - k'^3/q is held as an exact integer
     numerator mod m = 4q; each factor is reduced mod m before multiplying,
@@ -143,35 +159,41 @@ def weights(nbar, q) -> SuperrevivalPrediction:
     chirp = ((3 * nbar) % m * (k * k % m) - 4 * (k * k % q) * k) % m
     b = np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % l * k % l]
     nonzero = int(np.count_nonzero(np.abs(b) > NONZERO_WEIGHT_EPS))
-    scales = timescales_from_nstar(float(nbar))
     return SuperrevivalPrediction(
-        q=q,
+        **vars(timing(nbar, q)),
         l=l,
         alpha=alpha,
         N=N,
         b=b,
-        time_center=scales.t_sr / q,
-        periodicity=(3.0 / q) * scales.t_rev,
         kind="full" if nonzero == 1 else "fractional",
     )
 
 
-def prediction_table(
-    spec: AtomSpec, q_list: Sequence
-) -> list[SuperrevivalPrediction]:
-    """One prediction per q, sorted by time center.
+def timing_table(spec: AtomSpec, q_list: Sequence) -> list[SuperrevivalTiming]:
+    """One timing per q, sorted by time center (a stable sort).
 
-    Requires an integer effective quantum number; the quantum-defect case is
-    admitted only when nbar - defect lands on an integer.
+    Requires an integer effective quantum number, for which weights exist;
+    the quantum-defect case is admitted only when nbar - defect lands on an
+    integer.  Then q by q: the q is checked, then that integer (>= 1).
     """
     nstar = spec.nstar
     if abs(nstar - round(nstar)) > 1e-9:
         raise ValueError(
             f"integer effective quantum number required, got nstar = {nstar}"
         )
-    preds = [weights(int(round(nstar)), q) for q in q_list]
-    preds.sort(key=lambda p: p.time_center)
-    return preds
+    nbar = round(nstar)
+    timings = [timing(_as_integer_nbar(nbar), q) for q in map(_as_q, q_list)]
+    timings.sort(key=lambda t: t.time_center)
+    return timings
+
+
+def prediction_table(
+    spec: AtomSpec, q_list: Sequence
+) -> list[SuperrevivalPrediction]:
+    """weights for each q, in the order (and under the checks) of
+    timing_table(spec, q_list)."""
+    timings = timing_table(spec, q_list)
+    return [weights(round(spec.nstar), t.q) for t in timings]
 
 
 def reconstruct(

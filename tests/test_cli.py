@@ -383,6 +383,23 @@ def test_verify_windows_match_the_full_grid(nbar, model, capsys):
         assert (rc, capsys.readouterr().out.encode()) == full_grid_verify(argv, signals)
 
 
+def test_verify_forms_no_weights(monkeypatch, capsys):
+    """`verify` judges each q from its time and periodicity alone: with
+    weights() raising, the README's five-q run gives the bytes and exit code
+    of |A|^2 over the whole grid judged against prediction_table."""
+    argv = ["verify", "--nbar", "320", "--sigma", "2.5",
+            "--q", "36", "--q", "18", "--q", "12", "--q", "9", "--q", "6"]
+    want = full_grid_verify(argv, {})
+
+    def unreachable(*args):
+        raise AssertionError("verify formed weights")
+
+    monkeypatch.setattr("rydlab.superrevival.weights", unreachable)
+    rc = main(argv)
+    assert (rc, capsys.readouterr().out.encode()) == want
+    assert want[0] == 0
+
+
 def test_verify_evaluates_only_its_windows(monkeypatch, capsys):
     """`verify` asks the kernel once per covered window, for the index range
     that Signal.window selects on the full grid, and never for the window of
@@ -543,11 +560,12 @@ def test_slice_memory_does_not_grow_with_points():
 @pytest.mark.parametrize("command", ["predict", "verify"])
 def test_oversized_q_is_usage_error_before_any_weight(command, monkeypatch, capsys):
     """A q past MAX_Q (l <= q weights) exits 2 with nothing written, before
-    b_s is computed."""
+    any timing or b_s is computed."""
     def unreachable(*args):
-        raise AssertionError("weights computed for an oversized q")
+        raise AssertionError("prediction work done for an oversized q")
 
-    monkeypatch.setattr("rydlab.superrevival.prediction_table", unreachable)
+    for name in ("prediction_table", "timing_table", "timing", "weights"):
+        monkeypatch.setattr(f"rydlab.superrevival.{name}", unreachable)
     for big in (3 * (MAX_Q // 3 + 1), 3 * (MAX_SAMPLES // 3 + 1)):
         with pytest.raises(SystemExit) as exc:
             main([command, "--nbar", "320", "--sigma", "2.5", "--q", "6", "--q", str(big)])
@@ -1158,6 +1176,8 @@ COMMAND_MODULES = {
     "slice": (_KERNEL_LAYERS + ("_sciformat", "circular"), True),
     "verify": (_KERNEL_LAYERS + ("analysis", "superrevival"), True),
 }
+# The commands that form weights, the only users of numpy.fft.
+FFT_COMMANDS = ("predict",)
 
 
 def test_formatters_load_only_where_used():
@@ -1166,7 +1186,9 @@ def test_formatters_load_only_where_used():
     CSV autocorr not the JSON one, and `rydlab --help` loads no rydlab
     layer and no numpy.  No command loads numpy.ma (np.median imports it on
     first use) beyond what a bare `import numpy` loads (numpy 1.24 imports
-    it eagerly), and no help loads dataclasses or json."""
+    it eagerly), only predict loads numpy.fft (verify forms no weights)
+    beyond what `import numpy` loads (numpy 1.x imports it eagerly), and no
+    help loads dataclasses or json."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1193,6 +1215,7 @@ def test_formatters_load_only_where_used():
         "print(' '.join(sorted(m[7:] for m in sys.modules\n"
         "                      if m.startswith('rydlab.') and m != 'rydlab.cli')),\n"
         "      'numpy' in sys.modules, 'numpy.ma' in sys.modules,\n"
+        "      'numpy.fft' in sys.modules,\n"
         "      sorted({'dataclasses', 'json'} & set(sys.modules)), sep='|', file=report)\n"
     )
 
@@ -1200,11 +1223,15 @@ def test_formatters_load_only_where_used():
         return subprocess.run([sys.executable, *args], env=env, check=True,
                               capture_output=True, text=True, timeout=120).stdout
 
-    bare_ma = child("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True\n"
+    bare_ma, bare_fft = child(
+        "-c", "import sys, numpy; print('numpy.ma' in sys.modules, 'numpy.fft' in sys.modules)"
+    ).split()
     for command, (modules, numpy_loaded) in COMMAND_MODULES.items():
-        loaded, numpy, ma, stdlib = child("-c", code, *argvs[command]).rstrip("\n").split("|")
+        loaded, numpy, ma, fft, stdlib = (
+            child("-c", code, *argvs[command]).rstrip("\n").split("|"))
         assert (command, loaded.split(), numpy) == (command, sorted(modules), str(numpy_loaded))
-        assert ma == "False" or bare_ma, command
+        assert ma == "False" or bare_ma == "True", command
+        assert fft == str(command in FFT_COMMANDS) or bare_fft == "True", command
         if command.endswith("--help"):
             assert stdlib == "[]", command
 

@@ -14,11 +14,14 @@ from rydlab import (
     AtomSpec,
     FractionSpec,
     PhaseModel,
+    SuperrevivalTiming,
     gaussian_packet,
     integer_constants,
     prediction_table,
     reconstruct,
     timescales,
+    timing,
+    timing_table,
     to_si,
     weights,
 )
@@ -395,6 +398,37 @@ def test_prediction_table_integer_defect():
     assert np.array_equal(a.b, b.b)
     with pytest.raises(ValueError):
         prediction_table(AtomSpec(320, 2.5, defect=0.31), (6,))
+
+
+def test_timing_table_is_the_timing_of_prediction_table():
+    """timing_table gives prediction_table's q, time centers and
+    periodicities, bitwise and in its (stably sorted) order, and a
+    prediction is a timing."""
+    spec = AtomSpec(321, 2.5, defect=1.0)
+    qs = (6, 36, 12, 18, 9, 12)
+    preds = prediction_table(spec, qs)
+    timings = timing_table(spec, qs)
+    assert timings == [SuperrevivalTiming(p.q, p.time_center, p.periodicity) for p in preds]
+    assert [t.q for t in timings] == [36, 18, 12, 12, 9, 6]
+    assert all(isinstance(p, SuperrevivalTiming) for p in preds)
+    assert timing(320, 6) == timings[-1]
+    assert timing(320.0, FractionSpec(6)) == timings[-1]
+
+
+@pytest.mark.parametrize("table", [timing_table, prediction_table])
+def test_tables_refuse_in_one_order(table):
+    """Both tables refuse a non-integer n* first, then check q by q, each q
+    before the integer n* >= 1 (n* = 1e-10 rounds to 0)."""
+    with pytest.raises(ValueError, match=r"integer effective quantum number required, "
+                                         r"got nstar = 319.75"):
+        table(AtomSpec(320, 2.5, defect=0.25), (4,))
+    tiny = AtomSpec(1, 1e-11, defect=0.9999999999)
+    with pytest.raises(ValueError, match="nbar must be a positive integer, got 0"):
+        table(tiny, (6, 4))
+    with pytest.raises(ValueError, match="q must be a multiple of 3, got 4"):
+        table(tiny, (4, 6))
+    with pytest.raises(ValueError, match="q must be positive, got -3"):
+        table(AtomSpec(320, 2.5), (6, -3))
 
 
 def test_fraction_spec_accepted_everywhere():
