@@ -7,9 +7,9 @@ verify():                compare measured periodicities in the windows
                          around each predicted superrevival against the
                          predicted (3/q) t_rev values.
 
-verify() and `rydlab verify` judge through one loop, _verify, which asks a
-sample source for the samples of each covered window: verify() slices its
-signal, the command runs the |A|^2 kernel on that window alone.
+verify() and `rydlab verify` judge through one loop, _verify, which plans the
+covered windows and asks a sample source for their samples (see _verify):
+verify() slices its signal, the command runs the |A|^2 kernel on each one.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if min_separation < 0.0:
+    if not min_separation >= 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation}")
     v = signal.values
     if v.size < 3 or float(v.max()) <= 0.0:
@@ -232,7 +232,7 @@ def verify(
     and tolerance is finite and > 0 (_check_detection).
     """
     return _verify(predictions, TimeGrid(signal.t0, signal.dt, signal.values.size),
-                   lambda start, stop: signal.values[start:stop], threshold, tolerance)
+                   lambda _: lambda start, stop: signal.values[start:stop], threshold, tolerance)
 
 
 def _check_detection(threshold: float, tolerance: float) -> None:
@@ -245,17 +245,24 @@ def _check_detection(threshold: float, tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
-def _verify(predictions: list[SuperrevivalTiming], grid: TimeGrid, samples,
+def _verify(predictions: list[SuperrevivalTiming], grid: TimeGrid, source,
             threshold: float, tolerance: float) -> list[VerificationEntry]:
-    """The entries of verify for |A|^2 on grid, where samples(start, stop)
-    returns the samples at grid indices [start, stop); it is asked for the
-    windows the grid covers and nothing else."""
+    """The entries of verify for |A|^2 on grid.  source(covered) is called
+    once, before any window is evaluated, with the (timing, (start, stop)) of
+    each window the grid covers, in order, and never when it covers none; it
+    returns samples(start, stop), the samples at grid indices [start, stop),
+    asked for each of those windows in order and dropped as soon as the last
+    one returns, before its samples are checked and judged."""
     _check_detection(threshold, tolerance)
-    entries = []
-    for pred in predictions:
-        span = _window_range(pred, grid)
-        window = None if span is None else Signal(grid.t0 + grid.dt * span[0], grid.dt,
-                                                  samples(*span))
+    plan = [(pred, _window_range(pred, grid)) for pred in predictions]
+    covered = [(pred, span) for pred, span in plan if span is not None]
+    samples = source(covered) if covered else None
+    entries, left = [], len(covered)
+    for pred, span in plan:
+        window = values = None  # not held while the next window is evaluated
+        if span is not None:
+            values, left = samples(*span), left - 1
+            samples = samples if left else None
+            window = Signal(grid.t0 + grid.dt * span[0], grid.dt, values)
         entries.append(_judge(pred, window, threshold, tolerance))
-        del window  # not held while the next window is evaluated
     return entries

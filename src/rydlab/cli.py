@@ -21,10 +21,8 @@ formatter there would only add import time.  Identical flags produce
 byte-identical output, whatever the chunk size.  `verify` forms each q's
 time and periodicity only (rydlab.superrevival.timing_table), no weights,
 so it runs no FFT and loads no numpy.fft.  It evaluates only the windows
-t_sr/q +- t_rev it searches, bitwise as on the whole grid from t = 0, with
-one kernel whose tables it forms at the first window and frees before it
-judges the last, and judges them through the loop of rydlab.verify
-(analysis._verify).
+t_sr/q +- t_rev it searches, bitwise as on the whole grid from t = 0, from
+one kernel whose lifetime the loop of rydlab.verify sets (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -297,7 +295,7 @@ def cmd_slice(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    from .analysis import _check_detection, _verify, _window_range
+    from .analysis import _check_detection, _verify
     from .autocorr import PhaseModel, TimeGrid, _a2_kernel
     from .packet import gaussian_packet
     from .spectrum import timescales
@@ -320,30 +318,19 @@ def cmd_verify(parser, args) -> int:
         )
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
     coeffs = gaussian_packet(spec)
-    model, kernel, covered = PhaseModel(args.model), None, 0
-    for timing in timings:
-        span = _window_range(timing, grid)
-        if span is None:
-            continue
-        covered += 1
-        if span[1] - span[0] > MAX_SAMPLES:
-            parser.error(
-                f"verify would hold {span[1] - span[0]} samples in the window at "
-                f"t_sr/{timing.q}, more than the {MAX_SAMPLES} sample budget; use "
-                "smaller --nbar"
-            )
-        # The tables depend on the grid only: formed, and their limits
-        # checked, once the first covered window passes its sample budget.
-        kernel = kernel or _usage(parser, _a2_kernel, coeffs, model, spec, grid)
 
-    def samples(start: int, stop: int):
-        # the tables go once the last covered window is evaluated, before it is judged
-        nonlocal kernel, covered
-        values, covered = kernel.evaluate(start, stop), covered - 1
-        kernel = kernel if covered else None
-        return values
+    def source(covered):
+        for timing, (start, stop) in covered:
+            if stop - start > MAX_SAMPLES:
+                parser.error(
+                    f"verify would hold {stop - start} samples in the window at "
+                    f"t_sr/{timing.q}, more than the {MAX_SAMPLES} sample budget; use "
+                    "smaller --nbar"
+                )
+        # the tables, formed once every window passes: their limits are usage errors
+        return _usage(parser, _a2_kernel, coeffs, PhaseModel(args.model), spec, grid).evaluate
 
-    entries = _verify(timings, grid, samples, args.threshold, args.tolerance)
+    entries = _verify(timings, grid, source, args.threshold, args.tolerance)
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {

@@ -181,8 +181,13 @@ def timing_table(spec: AtomSpec, q_list: Sequence) -> list[SuperrevivalTiming]:
         raise ValueError(
             f"integer effective quantum number required, got nstar = {nstar}"
         )
-    nbar = round(nstar)
-    timings = [timing(_as_integer_nbar(nbar), q) for q in map(_as_q, q_list)]
+    nbar, timings = round(nstar), []
+    for q in map(_as_q, q_list):
+        if nbar < 1:
+            raise ValueError(
+                f"integer effective quantum number >= 1 required, got nstar = {nstar}"
+            )
+        timings.append(timing(nbar, q))
     timings.sort(key=lambda t: t.time_center)
     return timings
 

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from rydlab import (
     from_si,
     prediction_table,
     timescales,
+    timing_table,
     to_si,
     verify,
 )
+from rydlab import analysis
 from rydlab.analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE, _median, _verify
 
 
@@ -111,8 +114,10 @@ def test_find_peaks_parameter_validation(signal48):
         find_peaks(signal48, threshold=0.0, min_separation=1.0)
     with pytest.raises(ValueError):
         find_peaks(signal48, threshold=1.5, min_separation=1.0)
-    with pytest.raises(ValueError):
-        find_peaks(signal48, threshold=0.5, min_separation=-1.0)
+    # NaN fails every comparison, so it cannot pass as a separation either
+    for separation in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="min_separation"):
+            find_peaks(signal48, threshold=0.5, min_separation=separation)
 
 
 def test_classical_period_oscillation_48(signal48, spec48):
@@ -216,6 +221,78 @@ def test_verify_rejects_bad_detection_parameters(detection, spec48, signal48):
     detection = {"threshold": DEFAULT_THRESHOLD, "tolerance": DEFAULT_TOLERANCE, **detection}
     with pytest.raises(ValueError):
         _verify(preds, grid, unreachable, **detection)
+
+
+def recording_source(signal: Signal, calls: list, refs: list):
+    """A sample source for _verify that slices signal, appending the covered
+    windows it is given and each (start, stop) it is asked for to calls, and
+    a weak reference to each samples it returns to refs."""
+    class Samples:
+        def __call__(self, start, stop):
+            calls.append((start, stop))
+            return signal.values[start:stop]
+
+    def source(covered):
+        calls.append(list(covered))
+        samples = Samples()
+        refs.append(weakref.ref(samples))
+        return samples
+
+    return source
+
+
+def signal_grid(signal: Signal) -> TimeGrid:
+    return TimeGrid(signal.t0, signal.dt, signal.values.size)
+
+
+def test_verify_plans_its_windows_before_it_asks_for_samples(spec48, signal48):
+    """The source is called once, with the (timing, span) of every covered
+    window in time order, before any samples are asked for; the spans are
+    the index ranges Signal.window selects, and q = 39, whose window starts
+    before t = 0 at nbar = 48, is not among them."""
+    timings = timing_table(spec48, (6, 39, 12))
+    calls, refs = [], []
+    entries = _verify(timings, signal_grid(signal48), recording_source(signal48, calls, refs),
+                      DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
+    spans = []
+    for t in timings[1:]:
+        t_rev = t.periodicity * t.q / 3.0
+        window = signal48.window(t.time_center - t_rev, t.time_center + t_rev)
+        start = round((window.t0 - signal48.t0) / signal48.dt)
+        spans.append((start, start + window.values.size))
+    assert [t.q for t in timings] == [39, 12, 6]
+    assert calls == [list(zip(timings[1:], spans)), *spans]
+    assert entries == verify(timings, signal48)
+    assert [e.status for e in entries] == ["not evaluated", "pass", "pass"]
+
+
+def test_verify_asks_no_source_when_no_window_is_covered(spec48, signal48):
+    def unreachable(covered):
+        raise AssertionError("a source was asked for samples")
+
+    entries = _verify(timing_table(spec48, (39,)), signal_grid(signal48), unreachable,
+                      DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
+    assert [e.status for e in entries] == ["not evaluated"]
+
+
+def test_verify_drops_its_samples_before_the_last_window_is_judged(
+    spec48, signal48, monkeypatch
+):
+    """samples is held from the first window and unreachable by the time the
+    last window's peaks are judged."""
+    judge = analysis._judge
+    calls, refs, dropped = [], [], []
+
+    def judged(pred, window, *args):
+        if window is not None:
+            dropped.append(refs[0]() is None)
+        return judge(pred, window, *args)
+
+    monkeypatch.setattr(analysis, "_judge", judged)
+    _verify(timing_table(spec48, (39, 12, 6)), signal_grid(signal48),
+            recording_source(signal48, calls, refs), DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
+    assert len(refs) == 1
+    assert dropped == [False, True]
 
 
 def test_verification_entry_json(spec48, signal48):

@@ -90,6 +90,19 @@ def test_predict_rejects_noninteger_nstar(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "predict"])
+def test_tables_name_an_nstar_below_one(command, capsys):
+    """n* = 1e-10 is an integer to within 1e-9, but it rounds to 0: the
+    refusal names n*, not the nbar the tables round it to."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nbar", "1", "--sigma", "1e-11", "--defect", "0.9999999999"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"integer effective quantum number >= 1 required, got nstar = 1\.0+\d*e-10",
+                     err)
+
+
 def test_autocorr_single_sample(capsys):
     rc = main(["autocorr", "--nbar", "48", "--sigma", "1.5",
                "--tmin", "0", "--tmax", "0", "--samples", "1"])
@@ -314,6 +327,24 @@ def test_oversized_grids_are_usage_errors(capsys):
         main(["verify", "--nbar", "1e8", "--sigma", "1.5", "--q", "6"])
     assert exc.value.code == 2
     assert str(cli.MAX_GRID_INDEX) in capsys.readouterr().err
+
+
+def test_verify_window_budget_refusal_forms_no_kernel(monkeypatch, capsys):
+    """Every covered window passes the sample budget before the tables are
+    formed: a window past it is refused with no _Kernel formed."""
+    formed = []
+    init = rydlab.autocorr._Kernel.__init__
+
+    def counted(kernel, *args, **kwargs):
+        formed.append(kernel)
+        init(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(rydlab.autocorr._Kernel, "__init__", counted)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nbar", "1e6", "--sigma", "1.5", "--q", "6"])
+    assert exc.value.code == 2
+    assert "sample budget" in capsys.readouterr().err
+    assert formed == []
 
 
 def test_verify_beyond_the_full_grid_budget(capsys):
