@@ -115,8 +115,7 @@ def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakT
     in the index distance, so only the nearest kept peak on each side can
     reject a candidate.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     if not min_separation >= 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation}")
     v = signal.values
@@ -235,12 +234,17 @@ def verify(
                    lambda _: lambda start, stop: signal.values[start:stop], threshold, tolerance)
 
 
+def _check_threshold(threshold: float) -> None:
+    """ValueError unless 0 < threshold <= 1 (find_peaks, verify)."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def _check_detection(threshold: float, tolerance: float) -> None:
     """ValueError unless 0 < threshold <= 1 and tolerance is finite and > 0:
     NaN fails every comparison and is not JSON, and an infinite tolerance
     would pass every evaluated window."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 

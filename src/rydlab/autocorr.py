@@ -67,17 +67,20 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        end = self.t0 + self.dt * self.count
-        if not math.isfinite(end):
-            raise ValueError("grid overflow: t0 + dt*count is not finite")
+        _check_grid(self.t0, self.dt, self.count)
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.count)
+
+
+def _check_grid(start: float, step: float, count: int) -> None:
+    """The rule of the uniform grids start + step*i, i in range(count), of
+    TimeGrid, AngularGrid and Signal; ValueError where it fails."""
+    if not (isinstance(count, (int, np.integer)) and count >= 1 and step > 0.0
+            and math.isfinite(start) and math.isfinite(start + step * count)):
+        raise ValueError(f"a uniform grid needs an integer count >= 1, a step > 0 and finite "
+                         f"ends, got start {start}, step {step}, count {count!r}")
 
 
 def _check_a2(values: np.ndarray) -> np.ndarray:
@@ -99,11 +102,10 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
+        if values.ndim != 1:
+            raise ValueError("values must be a 1-d array")
+        _check_grid(self.t0, self.dt, values.size)
         _check_a2(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ddmath as dd
-from .autocorr import PhaseModel, _check_range, _Kernel, phase_cycles
+from .autocorr import PhaseModel, _check_grid, _check_range, _Kernel, phase_cycles
 from .packet import CoefficientSet
 from .spectrum import AtomSpec
 
@@ -31,10 +31,7 @@ class AngularGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (self.dphi > 0.0):
-            raise ValueError(f"dphi must be > 0, got {self.dphi}")
+        _check_grid(self.phi0, self.dphi, self.count)
 
 
 class AngularSlice:
@@ -87,7 +84,7 @@ def _check_psi(values: np.ndarray) -> np.ndarray:
 
 def expectation_radius(nbar: float) -> float:
     """Orbital radius <r> = nbar (2 nbar + 1) / 2 of a circular state."""
-    if nbar < 1:
+    if not nbar >= 1:
         raise ValueError(f"nbar must be >= 1, got {nbar}")
     return 0.5 * nbar * (2.0 * nbar + 1.0)
 
@@ -109,7 +106,7 @@ def log_amplitude(n: float, r: float):
     that element.
     """
     n = np.asarray(n, dtype=float)
-    low = n[n < 1]
+    low = n[~(n >= 1)]
     if low.size:
         raise ValueError(f"n must be >= 1, got {low[0]}")
     r = np.asarray(r, dtype=float)

@@ -356,22 +356,24 @@ def _atom_flags(p) -> None:
                    help="output file (default: stdout)")
 
 
-def _predict_flags(p) -> None:
+def _q_flag(p) -> None:
     p.add_argument("--q", type=int, action="append",
                    help="fraction denominator q (repeatable, multiple of 3); "
                         f"default {' '.join(map(str, DEFAULT_VERIFY_Q))}")
-    p.add_argument("--format", choices=["json"], default="json")
+
+
+def _model_flag(p) -> None:
+    from .autocorr import PhaseModel
+
+    p.add_argument("--model", choices=[m.value for m in PhaseModel],
+                   default="exact", help="phase model (default exact)")
 
 
 def _autocorr_flags(p) -> None:
-    from .autocorr import PhaseModel
-
     p.add_argument("--tmin", type=float, required=True, help="start time (seconds)")
     p.add_argument("--tmax", type=float, required=True, help="end time (seconds)")
     p.add_argument("--samples", type=int, required=True, help="number of samples")
-    p.add_argument("--model", choices=[m.value for m in PhaseModel],
-                   default="exact", help="phase model (default exact)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    _model_flag(p)
 
 
 def _slice_flags(p) -> None:
@@ -380,25 +382,19 @@ def _slice_flags(p) -> None:
                    help="azimuthal samples over [-pi, pi) (default 4096)")
     p.add_argument("--radius", type=float, default=None,
                    help="ring radius in a.u. (default: expectation radius)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _verify_flags(p) -> None:
     from .analysis import DEFAULT_THRESHOLD, DEFAULT_TOLERANCE
-    from .autocorr import PhaseModel
 
-    p.add_argument("--q", type=int, action="append",
-                   help="fraction denominator q (repeatable); "
-                        f"default {' '.join(map(str, DEFAULT_VERIFY_Q))}")
-    p.add_argument("--model", choices=[m.value for m in PhaseModel],
-                   default="exact")
+    _q_flag(p)
+    _model_flag(p)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                    help="relative periodicity tolerance "
                         f"(default {DEFAULT_TOLERANCE:.2f})")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="peak threshold as fraction of window max "
                         f"(default {DEFAULT_THRESHOLD:g})")
-    p.add_argument("--format", choices=["json"], default="json")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -411,17 +407,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Long-term revival structure of Rydberg wave packets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_flags, func in (
-        ("predict", "superrevival prediction table (JSON)", _predict_flags, cmd_predict),
-        ("autocorr", "|A(t)|^2 time series", _autocorr_flags, cmd_autocorr),
-        ("slice", "angular slice of the circular packet", _slice_flags, cmd_slice),
-        ("verify", "simulate, measure, and check predictions", _verify_flags, cmd_verify),
+    for name, help_text, add_flags, formats, func in (
+        ("predict", "superrevival prediction table (JSON)", _q_flag, ("json",), cmd_predict),
+        ("autocorr", "|A(t)|^2 time series", _autocorr_flags, ("csv", "json"), cmd_autocorr),
+        ("slice", "angular slice of the circular packet", _slice_flags, ("csv", "json"),
+         cmd_slice),
+        ("verify", "simulate, measure, and check predictions", _verify_flags, ("json",),
+         cmd_verify),
     ):
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         if command in (None, name):
             _atom_flags(p)
             add_flags(p)
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
         # each command reports its usage errors through its own parser, as
         # argparse reports the errors it finds in that command's flags
         p.set_defaults(func=func, parser=p)

@@ -43,11 +43,16 @@ NONZERO_WEIGHT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class FractionSpec:
-    """Denominator q of a candidate superrevival time t = t_sr / q."""
+    """Denominator q of a candidate superrevival time t = t_sr / q; an
+    integral float is taken as its int."""
 
     q: int
 
     def __post_init__(self):
+        if not (isinstance(self.q, (int, np.integer))
+                or isinstance(self.q, float) and self.q.is_integer()):
+            raise ValueError(f"q must be an integer, got {self.q!r}")
+        object.__setattr__(self, "q", int(self.q))
         if self.q <= 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.q % 3 != 0:
@@ -93,9 +98,7 @@ class SuperrevivalPrediction(SuperrevivalTiming):
 
 
 def _as_q(q) -> int:
-    q = q.q if isinstance(q, FractionSpec) else int(q)
-    FractionSpec(q)  # validates positivity and divisibility by 3
-    return q
+    return (q if isinstance(q, FractionSpec) else FractionSpec(q)).q
 
 
 def _as_integer_nbar(nbar) -> int:

@@ -475,6 +475,9 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1e308, 10)  # grid end overflows
+    for t0, dt, count in ((0.0, 1.0, 2.5), (math.nan, 1.0, 3), (0.0, math.inf, 3)):
+        with pytest.raises(ValueError):
+            TimeGrid(t0, dt, count)
 
 
 def test_signal_validation_and_window():
@@ -482,6 +485,9 @@ def test_signal_validation_and_window():
         Signal(0.0, -1.0, np.array([0.5]))
     with pytest.raises(ValueError):
         Signal(0.0, 1.0, np.array([0.5, 1.5]))
+    for t0, dt in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            Signal(t0, dt, np.array([0.5]))
     sig = Signal(10.0, 2.0, np.array([0.1, 0.2, 0.3, 0.4]))
     sub = sig.window(11.0, 15.0)
     assert sub.t0 == 12.0

@@ -333,12 +333,18 @@ def test_grid_and_slice_validation():
         AngularGrid(0.0, 0.0, 10)
     with pytest.raises(ValueError):
         AngularGrid(0.0, 0.1, 0)
+    for phi0, dphi, count in ((0.0, 0.1, 2.5), (0.0, math.inf, 4), (math.nan, 0.1, 4)):
+        with pytest.raises(ValueError):
+            AngularGrid(phi0, dphi, count)
     with pytest.raises(ValueError):
         AngularSlice(0.0, 0.1, np.array([1.0, np.inf]), 0.0, 1.0)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             log_amplitude(320, bad)
+    for bad in (0, math.nan):
+        with pytest.raises(ValueError):
+            log_amplitude(bad, 1.0)
     with pytest.raises(ValueError):
-        log_amplitude(0, 1.0)
+        expectation_radius(math.nan)
     with pytest.raises(ValueError):
         log_amplitude(np.array([320.0, 0.5]), 1.0)

@@ -430,10 +430,14 @@ def test_tables_refuse_in_one_order(table):
         table(tiny, (4, 6))
     with pytest.raises(ValueError, match="q must be positive, got -3"):
         table(AtomSpec(320, 2.5), (6, -3))
+    for q in (6.5, np.float64(12.9), "6"):
+        with pytest.raises(ValueError, match="q must be an integer, got "):
+            table(AtomSpec(320, 2.5), (6, q))
 
 
 def test_fraction_spec_accepted_everywhere():
     assert weights(320, FractionSpec(6)).q == 6
+    assert type(FractionSpec(9.0).q) is int and timing(320, 9.0) == timing(320, 9)
     assert integer_constants(320, FractionSpec(9)).l == 3
 
 
