@@ -50,7 +50,7 @@ class PeakTrain:
         heights = np.asarray(self.heights, dtype=float)
         if times.size != heights.size:
             raise ValueError("times and heights must align")
-        if times.size and np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValueError("peak times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "heights", heights)

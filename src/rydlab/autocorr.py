@@ -124,9 +124,14 @@ class Signal:
 
 def _window_indices(t0: float, dt: float, count: int, t_lo: float, t_hi: float):
     """First and last index i of the grid t0 + dt*i, 0 <= i < count, inside
-    [t_lo, t_hi], as Signal.window selects them; raises if there is none."""
-    i0 = max(0, int(math.ceil((t_lo - t0) / dt)))
-    i1 = min(count - 1, int(math.floor((t_hi - t0) / dt)))
+    [t_lo, t_hi], as Signal.window selects them; an infinite bound reaches
+    the grid's end.  ValueError at a NaN bound or if there is no index."""
+    if math.isnan(t_lo) or math.isnan(t_hi):
+        raise ValueError(f"window bounds must not be NaN, got [{t_lo}, {t_hi}]")
+    # positions clipped to just past the grid before rounding: the same
+    # indices, and no infinite float reaches math.ceil or math.floor
+    i0 = math.ceil(min(max((t_lo - t0) / dt, 0.0), count))
+    i1 = math.floor(min(max((t_hi - t0) / dt, -1.0), count - 1))
     if i1 < i0:
         raise ValueError("window contains no samples")
     return i0, i1

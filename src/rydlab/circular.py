@@ -35,25 +35,20 @@ class AngularGrid:
 
 
 class AngularSlice:
-    """Complex amplitudes Psi(phi) at the points phi0 + dphi*i of a ring of
-    radius r at time t.
+    """Complex amplitudes Psi(phi) at the points phi0 + dphi*i of an
+    AngularGrid on a ring of radius r at time t, as angular_slice forms
+    them from the ring's amplitude kernel.
 
-    values holds the amplitudes, or the ring's amplitude kernel (as
-    angular_slice passes it), from which evaluate(lo, hi) forms Psi one
-    index range at a time; either way every amplitude is checked to be
-    finite (ValueError).  .values is the whole ring: formed from the kernel
-    on its first read, bitwise as any partition into ranges gives it, after
-    which the kernel is dropped.
+    evaluate(lo, hi) forms Psi one index range at a time from the kernel,
+    every amplitude checked to be finite (ValueError).  .values is the
+    whole ring: formed on its first read, bitwise as any partition into
+    ranges gives it, after which the kernel is dropped.
     """
 
-    def __init__(self, phi0: float, dphi: float, values, t: float, r: float):
-        self.phi0, self.dphi, self.t, self.r = phi0, dphi, t, r
-        if isinstance(values, _Kernel):
-            self._kernel, self._values, self.count = values, None, values.count
-        else:
-            values = _check_psi(np.asarray(values, dtype=np.complex128))
-            values.flags.writeable = False
-            self._kernel, self._values, self.count = None, values, values.size
+    def __init__(self, grid: AngularGrid, kernel: _Kernel, t: float, r: float):
+        self.phi0, self.dphi, self.count = grid.phi0, grid.dphi, grid.count
+        self.t, self.r = t, r
+        self._kernel, self._values = kernel, None
 
     def evaluate(self, lo: int, hi: int) -> np.ndarray:
         """Psi at grid indices [lo, hi)."""
@@ -84,8 +79,8 @@ def _check_psi(values: np.ndarray) -> np.ndarray:
 
 def expectation_radius(nbar: float) -> float:
     """Orbital radius <r> = nbar (2 nbar + 1) / 2 of a circular state."""
-    if not nbar >= 1:
-        raise ValueError(f"nbar must be >= 1, got {nbar}")
+    if not 1 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 1, got {nbar}")
     return 0.5 * nbar * (2.0 * nbar + 1.0)
 
 
@@ -106,9 +101,9 @@ def log_amplitude(n: float, r: float):
     that element.
     """
     n = np.asarray(n, dtype=float)
-    low = n[~(n >= 1)]
-    if low.size:
-        raise ValueError(f"n must be >= 1, got {low[0]}")
+    bad = n[~((1 <= n) & (n < math.inf))]
+    if bad.size:
+        raise ValueError(f"n must be finite and >= 1, got {bad[0]}")
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise ValueError("radius must be finite and > 0")
@@ -160,7 +155,7 @@ def angular_slice(
     m = spec.nbar + coeffs.offsets - 1.0
     rate = dd.dd_div((-m, np.zeros_like(m)), dd.TWO_PI_DD)
     kernel = _Kernel(weights, rate, grid.phi0, grid.dphi, grid.count)
-    return AngularSlice(phi0=grid.phi0, dphi=grid.dphi, values=kernel, t=t, r=r)
+    return AngularSlice(grid, kernel, t, r)
 
 
 def resemblance(slice_a: AngularSlice, slice_b: AngularSlice) -> float:

@@ -33,6 +33,8 @@ class CoefficientSet:
     def __post_init__(self):
         offsets = np.asarray(self.offsets, dtype=np.int64)
         weights = np.asarray(self.weights, dtype=np.complex128)
+        if offsets.ndim != 1 or weights.ndim != 1:
+            raise ValueError("offsets and weights must be 1-d arrays")
         if offsets.size == 0:
             raise ValueError("empty coefficient window")
         if offsets.size != weights.size:
@@ -40,7 +42,7 @@ class CoefficientSet:
         if np.any(np.diff(offsets) != 1):
             raise ValueError("offsets must be contiguous integers")
         norm = float(np.sum(np.abs(weights) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"weights not normalized: sum|c|^2 = {norm!r}")
         offsets.flags.writeable = False
         weights.flags.writeable = False

@@ -110,9 +110,10 @@ def timescales(spec: AtomSpec) -> TimeScales:
 
 
 def timescales_from_nstar(nstar: float) -> TimeScales:
-    """TimeScales for an effective quantum number given directly."""
-    if not (nstar > 0.0):
-        raise ValueError(f"nstar must be > 0, got {nstar}")
+    """TimeScales for an effective quantum number given directly, in
+    (0, MAX_NBAR] as AtomSpec bounds nbar (ValueError outside)."""
+    if not 0.0 < nstar <= MAX_NBAR:
+        raise ValueError(f"nstar must be in (0, {MAX_NBAR:g}], got {nstar}")
     t_cl = 2.0 * math.pi * nstar**3
     t_rev = (2.0 * nstar / 3.0) * t_cl
     t_sr = (3.0 * nstar / 4.0) * t_rev

@@ -109,6 +109,16 @@ def test_periodicity_needs_three_peaks():
         estimate_periodicity(train)
 
 
+def test_peak_train_needs_increasing_times():
+    """Empty and one-peak trains are valid; a NaN time fails the increasing
+    rule, since NaN fails every comparison."""
+    assert len(PeakTrain(np.array([]), np.array([]))) == 0
+    assert len(PeakTrain(np.array([3.0]), np.array([0.5]))) == 1
+    for times in ([0.0, math.nan, 2.0], [0.0, 2.0, 2.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PeakTrain(np.array(times), np.ones(len(times)))
+
+
 def test_find_peaks_parameter_validation(signal48):
     with pytest.raises(ValueError):
         find_peaks(signal48, threshold=0.0, min_separation=1.0)

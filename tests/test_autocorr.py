@@ -492,8 +492,17 @@ def test_signal_validation_and_window():
     sub = sig.window(11.0, 15.0)
     assert sub.t0 == 12.0
     assert np.array_equal(sub.values, np.array([0.2, 0.3]))
-    with pytest.raises(ValueError):
-        sig.window(16.5, 17.0)
+    # infinite bounds reach the grid's ends; a NaN bound is refused by name
+    assert sig.window(-math.inf, 15.0).t0 == 10.0
+    assert np.array_equal(sig.window(11.0, math.inf).values, np.array([0.2, 0.3, 0.4]))
+    assert np.array_equal(sig.window(-math.inf, math.inf).values, sig.values)
+    with pytest.raises(ValueError, match="NaN"):
+        sig.window(math.nan, 15.0)
+    with pytest.raises(ValueError, match="NaN"):
+        sig.window(11.0, math.nan)
+    for t_lo, t_hi in ((16.5, 17.0), (-math.inf, 9.0), (19.0, math.inf)):
+        with pytest.raises(ValueError, match="no samples"):
+            sig.window(t_lo, t_hi)
 
 
 @pytest.mark.parametrize("model", list(PhaseModel), ids=lambda m: m.value)

@@ -93,6 +93,11 @@ def test_coefficient_set_validation():
         CoefficientSet(offsets=np.array([0, 1]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         CoefficientSet(offsets=np.array([], dtype=int), weights=np.array([]))
+    # NaN fails every comparison, so it cannot pass as a normalized weight
+    with pytest.raises(ValueError):
+        CoefficientSet(offsets=np.array([0, 1]), weights=np.array([math.nan, 1.0]))
+    with pytest.raises(ValueError):
+        CoefficientSet(offsets=np.array([[0, 1]]), weights=np.array([[0.6, 0.8]]))
 
 
 def test_weights_are_immutable():

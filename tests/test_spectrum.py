@@ -11,9 +11,11 @@ from rydlab import (
     energy,
     from_si,
     timescales,
+    timing,
     to_si,
+    weights,
 )
-from rydlab.spectrum import MAX_SIGMA
+from rydlab.spectrum import MAX_NBAR, MAX_SIGMA, timescales_from_nstar
 
 
 def test_energy_ground_and_first_excited():
@@ -130,3 +132,18 @@ def test_atom_spec_validation():
         AtomSpec(nbar=48, sigma=47.9, defect=0.5)  # distribution reaches n <= 0
     spec = AtomSpec(48, 1.5, 0.35)
     assert spec.nstar == pytest.approx(47.65)
+
+
+def test_timescales_need_nstar_up_to_max_nbar():
+    """n* in (0, MAX_NBAR], the bound AtomSpec puts on nbar, gives finite
+    time scales; past it, or at NaN, timescales_from_nstar refuses n*, and
+    so do timing and weights, which read it."""
+    scales = timescales_from_nstar(MAX_NBAR)
+    assert all(map(math.isfinite, (scales.t_cl, scales.t_rev, scales.t_sr)))
+    for bad in (0.0, -1.0, math.nan, math.inf, np.nextafter(MAX_NBAR, math.inf), 1e62):
+        with pytest.raises(ValueError, match="nstar must be in"):
+            timescales_from_nstar(bad)
+    for call in (lambda: timing(math.inf, 6), lambda: timing(1e62, 6),
+                 lambda: weights(10**62, 6)):
+        with pytest.raises(ValueError, match="nstar must be in"):
+            call()
