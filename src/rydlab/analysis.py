@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .autocorr import Signal, TimeGrid, _window_indices
-from .spectrum import to_si
 
 if TYPE_CHECKING:
     from .superrevival import SuperrevivalTiming
@@ -85,17 +84,6 @@ class VerificationEntry:
     peak_height: float | None
     n_peaks: int
     status: str  # "pass" | "fail" | "not evaluated"
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "predicted_si": to_si(self.predicted),
-            "measured_si": None if self.measured is None else to_si(self.measured),
-            "deviation": self.deviation,
-            "peak_height": self.peak_height,
-            "n_peaks": self.n_peaks,
-            "status": self.status,
-        }
 
 
 def find_peaks(signal: Signal, threshold: float, min_separation: float) -> PeakTrain:

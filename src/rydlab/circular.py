@@ -161,12 +161,18 @@ def angular_slice(
 def resemblance(slice_a: AngularSlice, slice_b: AngularSlice) -> float:
     """Overlap of |Psi| profiles, maximized over rigid rotation.
 
-    Both slices must share the same grid and cover full turns; revived
-    packets reform at a classically advanced angle, so the comparison has
-    to be angle-agnostic.  Returns a value in (0, 1], with 1 for identical
+    Both slices must share the same grid and cover full turns: count*dphi
+    a whole number (>= 1) of turns to 1e-9, or ValueError, since the
+    correlation wraps each slice as a closed ring.  Revived packets reform
+    at a classically advanced angle, so the comparison has to be
+    angle-agnostic.  Returns a value in (0, 1], with 1 for identical
     profiles up to rotation and scale.
     """
-    if slice_a.values.size != slice_b.values.size or not math.isclose(
+    for s in (slice_a, slice_b):
+        turns = s.count * s.dphi / (2.0 * math.pi)
+        if not (round(turns) >= 1 and abs(turns - round(turns)) <= 1e-9):
+            raise ValueError(f"slices must cover whole turns, got {turns:.6g} turns")
+    if slice_a.count != slice_b.count or not math.isclose(
         slice_a.dphi, slice_b.dphi, rel_tol=1e-12
     ):
         raise ValueError("slices must share the same angular grid")

@@ -1,8 +1,10 @@
 """Command-line interface: predict, autocorr, slice, verify.
 
 Times cross the CLI boundary in SI seconds; computation runs in atomic
-units and data files carry both.  Every command writes through one
-streaming writer, and `autocorr` and `slice` through one table writer
+units and data files carry both.  This module lays out the `predict` and
+`verify` records (_prediction_record, _entry_record), so the library types
+hold atomic units only.  Every command writes through one streaming writer,
+and `autocorr` and `slice` through one table writer
 (_table) that asks each column, a function of a row range, for the
 CHUNK_ROWS-row ranges of _chunks, once each and in order: `autocorr`'s
 |A|^2 is its kernel's evaluate(lo, hi), and `slice`'s Psi(phi) the
@@ -196,11 +198,30 @@ def _check_seconds(parser: argparse.ArgumentParser, flag: str, value: float) -> 
         parser.error(f"{flag} must be finite and within +-{MAX_SECONDS:g} s, got {value}")
 
 
+def _prediction_record(p) -> dict:
+    """The JSON record of a SuperrevivalPrediction, times in seconds; its b
+    is the [_ITEMS] placeholder that _predict_json streams the weights into."""
+    from .spectrum import to_si
+
+    return {"q": p.q, "l": p.l, "alpha": p.alpha, "N": p.N, "b": [_ITEMS],
+            "time_center_si": to_si(p.time_center),
+            "periodicity_si": to_si(p.periodicity), "kind": p.kind}
+
+
+def _entry_record(e) -> dict:
+    """The JSON record of a VerificationEntry, times in seconds."""
+    from .spectrum import to_si
+
+    return {"q": e.q, "predicted_si": to_si(e.predicted),
+            "measured_si": None if e.measured is None else to_si(e.measured),
+            "deviation": e.deviation, "peak_height": e.peak_height,
+            "n_peaks": e.n_peaks, "status": e.status}
+
+
 def _predict_json(head: dict, preds) -> Iterator[str]:
-    """json.dumps({**head, "predictions": [p.to_dict() for p in preds]},
-    indent=2) + "\n" in pieces, each prediction's b streamed as CHUNK_ROWS
-    [re, im] pairs per format call instead of held as nested lists."""
-    from dataclasses import replace
+    """json.dumps({**head, "predictions": records}, indent=2) + "\n" in pieces,
+    each record _prediction_record(p) with b its [re, im] pairs, streamed
+    CHUNK_ROWS pairs per format call instead of held as nested lists."""
     from itertools import chain
 
     pair = ",\n        [\n          %s,\n          %s\n        ]"
@@ -210,9 +231,8 @@ def _predict_json(head: dict, preds) -> Iterator[str]:
             parts = zip(b.real[lo:hi].tolist(), b.imag[lo:hi].tolist())
             yield (pair * (hi - lo)) % tuple(map(float.__repr__, chain.from_iterable(parts)))
 
-    # to_dict of a copy without weights: every other field, in order
-    predictions = [{**replace(p, b=p.b[:0]).to_dict(), "b": [_ITEMS]} for p in preds]
-    return _json({**head, "predictions": predictions}, (pairs(p.b) for p in preds))
+    record = {**head, "predictions": [_prediction_record(p) for p in preds]}
+    return _json(record, (pairs(p.b) for p in preds))
 
 
 def cmd_predict(parser, args) -> int:
@@ -339,7 +359,7 @@ def cmd_verify(parser, args) -> int:
         "defect": args.defect,
         "tolerance": args.tolerance,
         "result": "pass" if all_pass else "fail",
-        "entries": [e.to_dict() for e in entries],
+        "entries": [_entry_record(e) for e in entries],
     }
     _write(parser, args.out, _json(record, ()))
     return 0 if all_pass else 1

@@ -63,13 +63,17 @@ def gaussian_packet(
     The window spans k = -h .. +h.  By default h is the smallest half-width
     that drops at most MAX_DROPPED_MASS of the discrete Gaussian mass
     (h = 11 at sigma = 1.5, 18 at 2.5, 36 at 5); an explicit window_sigmas
-    w sets h = ceil(w*sigma) instead.  The window is clipped so every
+    w sets h = ceil(w*sigma) instead; w must be finite and in (0, 12], the
+    default search reach (ValueError).  The window is clipped so every
     populated state has n >= 1 and n - defect > 0; states outside that range
     do not exist, so they count as neither kept nor dropped.  The squared
     weights are renormalized to unit sum.  Amplitudes are the positive
     square roots (real phase convention, which localizes the packet at
     phi = 0 at t = 0).
     """
+    if window_sigmas is not None and not 0.0 < window_sigmas <= _SEARCH_SIGMAS:
+        raise ValueError(f"window_sigmas must be finite and in (0, {_SEARCH_SIGMAS:g}], "
+                         f"got {window_sigmas}")
     reach = math.ceil(
         (_SEARCH_SIGMAS if window_sigmas is None else window_sigmas) * spec.sigma
     )

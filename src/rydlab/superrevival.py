@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectrum import AtomSpec, timescales_from_nstar, to_si
+from .spectrum import AtomSpec, timescales_from_nstar
 
 if TYPE_CHECKING:
     from .packet import CoefficientSet
@@ -83,18 +83,6 @@ class SuperrevivalPrediction(SuperrevivalTiming):
     N: int
     b: np.ndarray
     kind: str
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "l": self.l,
-            "alpha": self.alpha,
-            "N": self.N,
-            "b": [[float(v.real), float(v.imag)] for v in self.b],
-            "time_center_si": to_si(self.time_center),
-            "periodicity_si": to_si(self.periodicity),
-            "kind": self.kind,
-        }
 
 
 def _as_q(q) -> int:

@@ -305,17 +305,6 @@ def test_verify_drops_its_samples_before_the_last_window_is_judged(
     assert dropped == [False, True]
 
 
-def test_verification_entry_json(spec48, signal48):
-    entries = verify(prediction_table(spec48, (6,)), signal48)
-    record = entries[0].to_dict()
-    assert set(record) == {
-        "q", "predicted_si", "measured_si", "deviation", "peak_height", "n_peaks",
-        "status",
-    }
-    assert record["status"] == "pass"
-    assert record["predicted_si"] == pytest.approx(0.269e-9, rel=0.01)
-
-
 # The tallest-first selection as it was before the nearest-neighbour bisect:
 # every candidate checked against every kept peak.  Kept verbatim as the
 # oracle for find_peaks; O(candidates x kept).

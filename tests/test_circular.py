@@ -280,6 +280,11 @@ def test_resemblance_properties(coeffs, spec, slice_t0):
     other = angular_slice(coeffs, spec, 0.0, AngularGrid(0.0, 0.1, 7))
     with pytest.raises(ValueError):
         resemblance(slice_t0, other)
+    # half turns: the correlation would wrap each as a closed ring (it read 0.863)
+    halves = [angular_slice(coeffs, spec, 0.0, AngularGrid(phi0, math.pi / 2048, 2048))
+              for phi0 in (-math.pi / 2, 0.0)]
+    with pytest.raises(ValueError, match="whole turns, got 0.5 turns"):
+        resemblance(*halves)
 
 
 def test_slice_forms_values_once_and_drops_its_kernel(coeffs, spec, monkeypatch):

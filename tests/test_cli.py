@@ -391,9 +391,20 @@ def full_grid_verify(argv, signals: dict) -> tuple[int, bytes]:
         "defect": args.defect,
         "tolerance": args.tolerance,
         "result": "pass" if all_pass else "fail",
-        "entries": [e.to_dict() for e in entries],
+        "entries": [cli._entry_record(e) for e in entries],
     }
     return (0 if all_pass else 1), (json.dumps(record, indent=2) + "\n").encode()
+
+
+def test_verification_entry_json(spec48, signal48):
+    entries = rydlab.verify(rydlab.prediction_table(spec48, (6,)), signal48)
+    record = cli._entry_record(entries[0])
+    assert set(record) == {
+        "q", "predicted_si", "measured_si", "deviation", "peak_height", "n_peaks",
+        "status",
+    }
+    assert record["status"] == "pass"
+    assert record["predicted_si"] == pytest.approx(0.269e-9, rel=0.01)
 
 
 VERIFY_Q_LISTS = (["--q", "36", "--q", "18", "--q", "12", "--q", "9", "--q", "6"],
@@ -1440,15 +1451,31 @@ def test_output_bytes_do_not_depend_on_blas_threads(argv, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def whole_prediction_record(p) -> dict:
+    """The record of one prediction with its weights b as nested lists."""
+    return {**cli._prediction_record(p), "b": [[float(v.real), float(v.imag)] for v in p.b]}
+
+
+def test_prediction_json_record():
+    record = whole_prediction_record(rydlab.weights(48, 12))
+    assert record["q"] == 12 and record["l"] == 12
+    assert record["alpha"] == 1 and record["N"] == 96
+    assert len(record["b"]) == 12
+    assert record["kind"] == "fractional"
+    assert record["time_center_si"] == pytest.approx(1.61e-9, rel=0.01)
+    assert record["periodicity_si"] == pytest.approx(0.538e-9 / 4.0, rel=0.01)
+
+
 def unstreamed_predict(argv):
     """`predict` output as the whole-record writer of earlier versions made it."""
     args = build_parser().parse_args(argv)
     spec = AtomSpec(nbar=args.nbar, sigma=args.sigma, defect=args.defect)
+    preds = rydlab.prediction_table(spec, args.q or cli.DEFAULT_VERIFY_Q)
     record = {
         "nbar": args.nbar,
         "sigma": args.sigma,
         "defect": args.defect,
-        "predictions": [p.to_dict() for p in rydlab.prediction_table(spec, args.q or cli.DEFAULT_VERIFY_Q)],
+        "predictions": [whole_prediction_record(p) for p in preds],
     }
     return (json.dumps(record, indent=2) + "\n").encode()
 
@@ -1480,7 +1507,8 @@ def test_streamed_predict_single_weight(monkeypatch):
     pred = rydlab.prediction_table(AtomSpec(48, 1.5), [12])[0]
     preds = [replace(pred, l=1, b=pred.b[:1]), pred, replace(pred, b=-pred.b)]
     head = {"nbar": 48.0, "sigma": 1.5, "defect": 0.0}
-    want = json.dumps({**head, "predictions": [p.to_dict() for p in preds]}, indent=2) + "\n"
+    want = json.dumps({**head, "predictions": [whole_prediction_record(p) for p in preds]},
+                      indent=2) + "\n"
     for chunk in (1, 2, 3):
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         assert "".join(cli._predict_json(head, preds)) == want

@@ -75,6 +75,21 @@ def test_window_clipped_at_small_n():
     assert abs(float(np.sum(c.probabilities)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("window_sigmas, half", [
+    (math.inf, None), (math.nan, None), (-1.0, None), (13.0, None), (5.0, 8), (7.0, 11),
+])
+def test_window_sigmas_range(window_sigmas, half):
+    """An explicit window is finite and in (0, 12] sigma, the default search
+    reach; the 5 and 7 sigma windows span k = -ceil(w*sigma) .. ceil(w*sigma)."""
+    spec = AtomSpec(48, 1.5)
+    if half is None:
+        with pytest.raises(ValueError, match=r"window_sigmas must be finite and in \(0, 12\]"):
+            gaussian_packet(spec, window_sigmas=window_sigmas)
+    else:
+        c = gaussian_packet(spec, window_sigmas=window_sigmas)
+        assert c.offsets.tolist() == list(range(-half, half + 1))
+
+
 def test_pulse_duration_paper_calibrations():
     """160 ps for (320, 2.5) and 900 fs for (48, 1.5), both within 3%."""
     assert pulse_duration(AtomSpec(320, 2.5)) == pytest.approx(160e-12, rel=0.03)

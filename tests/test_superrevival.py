@@ -439,14 +439,3 @@ def test_fraction_spec_accepted_everywhere():
     assert weights(320, FractionSpec(6)).q == 6
     assert type(FractionSpec(9.0).q) is int and timing(320, 9.0) == timing(320, 9)
     assert integer_constants(320, FractionSpec(9)).l == 3
-
-
-def test_prediction_json_record():
-    pred = weights(48, 12)
-    record = pred.to_dict()
-    assert record["q"] == 12 and record["l"] == 12
-    assert record["alpha"] == 1 and record["N"] == 96
-    assert len(record["b"]) == 12
-    assert record["kind"] == "fractional"
-    assert record["time_center_si"] == pytest.approx(1.61e-9, rel=0.01)
-    assert record["periodicity_si"] == pytest.approx(0.538e-9 / 4.0, rel=0.01)
