@@ -77,7 +77,8 @@ class TimeGrid:
 def _check_grid(start: float, step: float, count: int) -> None:
     """The rule of the uniform grids start + step*i, i in range(count), of
     TimeGrid, AngularGrid and Signal; ValueError where it fails."""
-    if not (isinstance(count, (int, np.integer)) and count >= 1 and step > 0.0
+    if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+            and count >= 1 and step > 0.0
             and math.isfinite(start) and math.isfinite(start + step * count)):
         raise ValueError(f"a uniform grid needs an integer count >= 1, a step > 0 and finite "
                          f"ends, got start {start}, step {step}, count {count!r}")

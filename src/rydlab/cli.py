@@ -18,9 +18,9 @@ bytes of '%.11e' % x, formatted in numpy (rydlab._sciformat), and so are
 the numbers of the `autocorr` and `slice` JSON arrays, the bytes of
 float.__repr__(x) (rydlab._reprformat); each module is imported by the
 writer of its format.  `predict` calls
-float.__repr__ itself: its b lists are at most q long, and loading the
-formatter there would only add import time.  Identical flags produce
-byte-identical output, whatever the chunk size.  `verify` forms each q's
+float.__repr__ itself on its b, a tuple of complex at most q long: loading
+the formatter there would add numpy and its import time.  Identical flags
+produce byte-identical output, whatever the chunk size.  `verify` forms each q's
 time and periodicity only (rydlab.superrevival.timing_table), no weights,
 so it runs no FFT and loads no numpy.fft.  It evaluates only the windows
 t_sr/q +- t_rev it searches, bitwise as on the whole grid from t = 0, from
@@ -29,8 +29,9 @@ A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
 parser builds the flags of the command being run only.  So `predict` loads
-spectrum and superrevival, and `rydlab --help` loads no rydlab layer, no
-json, no dataclasses and no numpy.
+spectrum and superrevival, and no numpy unless some q has l past
+superrevival._DIRECT_MAX_L (its weights are then one FFT), and `rydlab
+--help` loads no rydlab layer, no json, no dataclasses and no numpy.
 The process entry (`rydlab`, `python -m rydlab.cli`) is run(): it freezes
 the heap (gc.freeze) after the command, just before exit, so interpreter
 teardown does not walk what the command and its imports built; main()
@@ -80,8 +81,9 @@ MAX_GRID_INDEX = 2**53
 
 # Largest --q.  `predict` forms l <= q weights per q, and their inverse FFT
 # peaks at ~176 bytes per weight when l has a large prime factor (measured
-# at l = 999,993 = 3 x 333,331: 197 MB), so no admitted q needs much more
-# than 200 MB there.  `verify` forms each q's time and periodicity only, at
+# at l = 999,993 = 3 x 333,331: 197 MB, with b then held as a tuple of
+# complex at ~40 bytes per weight), so no admitted q needs much more than
+# 200 MB there.  `verify` forms each q's time and periodicity only, at
 # any q; it keeps the bound as an input check.
 MAX_Q = 10**6
 
@@ -220,16 +222,15 @@ def _entry_record(e) -> dict:
 
 def _predict_json(head: dict, preds) -> Iterator[str]:
     """json.dumps({**head, "predictions": records}, indent=2) + "\n" in pieces,
-    each record _prediction_record(p) with b its [re, im] pairs, streamed
-    CHUNK_ROWS pairs per format call instead of held as nested lists."""
-    from itertools import chain
-
+    each record _prediction_record(p) with b, a sequence of complex, as its
+    [re, im] pairs, streamed CHUNK_ROWS pairs per format call instead of
+    held as nested lists."""
     pair = ",\n        [\n          %s,\n          %s\n        ]"
 
     def pairs(b):
-        for lo, hi in _chunks(b.size):
-            parts = zip(b.real[lo:hi].tolist(), b.imag[lo:hi].tolist())
-            yield (pair * (hi - lo)) % tuple(map(float.__repr__, chain.from_iterable(parts)))
+        for lo, hi in _chunks(len(b)):
+            parts = [x for v in b[lo:hi] for x in (v.real, v.imag)]
+            yield (pair * (hi - lo)) % tuple(map(float.__repr__, parts))
 
     record = {**head, "predictions": [_prediction_record(p) for p in preds]}
     return _json(record, (pairs(p.b) for p in preds))

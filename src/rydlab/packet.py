@@ -31,7 +31,14 @@ class CoefficientSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        offsets = np.asarray(self.offsets)
+        # integral floats are taken as their integers; a float past int64,
+        # NaN, a fraction or a bool would be cast to some other offset
+        if offsets.dtype.kind not in "iu" and not (
+                offsets.dtype.kind == "f" and np.all(np.abs(offsets) < 2.0**63)
+                and np.all(offsets == np.trunc(offsets))):
+            raise ValueError(f"offsets must be integers, got {offsets!r}")
+        offsets = offsets.astype(np.int64, copy=False)
         weights = np.asarray(self.weights, dtype=np.complex128)
         if offsets.ndim != 1 or weights.ndim != 1:
             raise ValueError("offsets and weights must be 1-d arrays")

@@ -21,24 +21,39 @@ nonzero weight at q = 6 (the full superrevival).  One nonzero weight means
 the packet reforms as a single copy; several mean distinct subsidiary
 packets (a fractional superrevival).  Either way the autocorrelation
 acquires peaks with periodicity approximately (3/q) t_rev.
+
+Every phase of the sum is an integer multiple of 2*pi/(4q), so each term is
+a 4q-th root of unity.  weights sums them directly in the standard library
+up to l = _DIRECT_MAX_L, and takes numpy's inverse FFT above it; numpy is
+imported there and in reconstruct only, so a `predict` at small q loads no
+numpy.  b is a tuple of complex either way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-import numpy as np
 
 from .spectrum import AtomSpec, timescales_from_nstar
 
 if TYPE_CHECKING:
     from .packet import CoefficientSet
 
-# |b_s| above this counts as nonzero; exact DFT zeros read ~2e-16 after
-# the FFT, so about seven orders of margin remain.
+# |b_s| above this counts as nonzero.  Exact DFT zeros read <= 4e-17 from
+# the direct sum and <= 1.7e-16 from the FFT (nbar = 320, q = 3..150), so
+# about seven orders of margin remain.
 NONZERO_WEIGHT_EPS = 1e-9
+
+# Largest l whose b_s are summed directly (O(l^2), standard library only);
+# larger l take numpy's FFT (O(l log l)).  650 is where one q's direct sum
+# costs a cold `predict` as much as importing numpy.fft: on a 2-vCPU Xeon
+# host (`predict --nbar 320 --sigma 2.5 --q Q`, 15 paired cold runs with
+# one OpenBLAS thread) the direct sum was 3 ms faster at l = 633 and 4 ms
+# slower at l = 669, at ~170 ns per term.  With OpenBLAS's default threads
+# the import cost up to ~70 ms more, which only moves the crossover up.
+_DIRECT_MAX_L = 650
 
 
 @dataclass(frozen=True)
@@ -49,10 +64,14 @@ class FractionSpec:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer))
-                or isinstance(self.q, float) and self.q.is_integer()):
-            raise ValueError(f"q must be an integer, got {self.q!r}")
-        object.__setattr__(self, "q", int(self.q))
+        q = int(self.q) if isinstance(self.q, float) and self.q.is_integer() else self.q
+        try:
+            if isinstance(q, bool):  # operator.index takes a bool as 0 or 1
+                raise TypeError
+            q = operator.index(q)
+        except TypeError:
+            raise ValueError(f"q must be an integer, got {self.q!r}") from None
+        object.__setattr__(self, "q", q)
         if self.q <= 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.q % 3 != 0:
@@ -81,7 +100,7 @@ class SuperrevivalPrediction(SuperrevivalTiming):
     l: int
     alpha: int
     N: int
-    b: np.ndarray
+    b: tuple[complex, ...]
     kind: str
 
 
@@ -90,7 +109,7 @@ def _as_q(q) -> int:
 
 
 def _as_integer_nbar(nbar) -> int:
-    if isinstance(nbar, float) and not nbar.is_integer():
+    if isinstance(nbar, bool) or isinstance(nbar, float) and not nbar.is_integer():
         raise ValueError(
             f"the subsidiary-packet integer arithmetic needs integer nbar, got {nbar}"
         )
@@ -125,16 +144,33 @@ def timing(nstar, q) -> SuperrevivalTiming:
     )
 
 
+def _unit_circle(m: int) -> tuple[list[float], list[float]]:
+    """cos and sin of 2*pi*j/m for j in range(m), m a multiple of 4.  Each
+    value is computed from an angle of at most pi/4, which keeps its error
+    near half an ulp (a turn's angle would carry ~7e-16), and the
+    quarter-turn symmetries hold exactly in the table."""
+    quarter = m // 4
+    c = [math.cos(math.tau * j / m) if 2 * j <= quarter
+         else math.sin(math.tau * (quarter - j) / m) for j in range(quarter)]
+    s = [0.0, *c[:0:-1]]
+    minus_c, minus_s = [-x for x in c], [-x for x in s]
+    return c + minus_s + minus_c + s, s + c + minus_s + minus_c
+
+
 def weights(nbar, q) -> SuperrevivalPrediction:
     """Subsidiary-packet weights b_s, with the timing(nbar, q) they hold at.
 
     The chirp phase 3*nbar*k'^2/(4q) - k'^3/q is held as an exact integer
-    numerator mod m = 4q; each factor is reduced mod m before multiplying,
-    so every intermediate stays below m^2 and int64 is exact for q up to
-    ~7e8.  With large nbar a float phase would lose its fractional part to
-    rounding.  Because l divides q, the shift term alpha*s*k'/l is a DFT
-    kernel, so b is one inverse l-point FFT of the unimodular chirp, read
-    at s -> alpha*s mod l: O(l log l).
+    numerator mod m = 4q; with large nbar a float phase would lose its
+    fractional part to rounding.  Because l divides q, the shift term
+    alpha*s*k'/l is a DFT kernel, so b is the inverse l-point DFT of the
+    unimodular chirp, read at s -> alpha*s mod l.  Up to l = _DIRECT_MAX_L
+    that DFT is summed directly in integers: each term is omega^j with
+    omega = exp(2*pi*i/m) and j = (chirp_k' + (m/l)*k'*r) mod m, read from
+    one table of the m roots of unity and added with math.fsum, in O(l^2)
+    and without numpy.  Above it, b is one inverse FFT, in O(l log l), with
+    the chirp reduced mod m in int64 (exact for q up to ~7e8).  Either way
+    b is a tuple of complex.
 
     Precondition: b is the subsidiary-packet expansion only where the chirp
     is l-periodic in k', that is for nbar = 0 (mod 4), or nbar = 2 (mod 4)
@@ -146,10 +182,28 @@ def weights(nbar, q) -> SuperrevivalPrediction:
     q = _as_q(q)
     l, N, alpha = integer_constants(nbar, q)
     m = 4 * q
-    k = np.arange(l, dtype=np.int64)
-    chirp = ((3 * nbar) % m * (k * k % m) - 4 * (k * k % q) * k) % m
-    b = np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % l * k % l]
-    nonzero = int(np.count_nonzero(np.abs(b) > NONZERO_WEIGHT_EPS))
+    if l <= _DIRECT_MAX_L:
+        cos, sin = _unit_circle(m)
+        # dft[r] = (1/l) sum_k' omega^row[k'] with row[k'] the exponent
+        # (chirp_k' + (m/l)*k'*r) mod m: row 0 is the chirp, each next row
+        # adds (m/l)*k'
+        row = [(3 * nbar * k * k - 4 * k**3) % m for k in range(l)]
+        step = [m // l * k for k in range(l)]
+        dft = []
+        for _ in range(l):
+            dft.append(complex(math.fsum(map(cos.__getitem__, row)) / l,
+                               math.fsum(map(sin.__getitem__, row)) / l))
+            row = [(j + d) % m for j, d in zip(row, step)]
+        b = tuple(dft[alpha * s % l] for s in range(l))
+        nonzero = sum(abs(v) > NONZERO_WEIGHT_EPS for v in b)
+    else:
+        import numpy as np
+
+        k = np.arange(l, dtype=np.int64)
+        chirp = ((3 * nbar) % m * (k * k % m) - 4 * (k * k % q) * k) % m
+        fft = np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % l * k % l]
+        nonzero = int(np.count_nonzero(np.abs(fft) > NONZERO_WEIGHT_EPS))
+        b = tuple(fft.tolist())
     return SuperrevivalPrediction(
         **vars(timing(nbar, q)),
         l=l,
@@ -210,8 +264,11 @@ def reconstruct(
     so the residual vanishes to rounding level.  The expansion is local: t
     must lie within t_rev of the prediction's time center.
     """
-    # Imported here: weights and prediction_table run no phase model, so
-    # `predict` never loads the kernel's layers.
+    # Imported here: weights and prediction_table run no phase model and
+    # (up to _DIRECT_MAX_L) no FFT, so `predict` loads neither the kernel's
+    # layers nor numpy.
+    import numpy as np
+
     from .autocorr import PhaseModel, phase_cycles
 
     scales = timescales_from_nstar(spec.nstar)

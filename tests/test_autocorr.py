@@ -480,6 +480,15 @@ def test_time_grid_validation():
             TimeGrid(t0, dt, count)
 
 
+def test_grid_refuses_a_bool_count():
+    """True is an int to isinstance, but not a sample count."""
+    with pytest.raises(ValueError, match="integer count"):
+        TimeGrid(0.0, 1.0, True)
+    with pytest.raises(ValueError, match="integer count"):
+        AngularGrid(0.0, 0.1, True)
+    assert TimeGrid(0.0, 1.0, np.int64(1)).count == 1
+
+
 def test_signal_validation_and_window():
     with pytest.raises(ValueError):
         Signal(0.0, -1.0, np.array([0.5]))

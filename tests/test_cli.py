@@ -1212,25 +1212,27 @@ COMMAND_MODULES = {
     "--help": ((), False),
     "predict --help": ((), False),
     "slice --help": ((), False),
-    "predict": (("spectrum", "superrevival"), True),
+    "predict": (("spectrum", "superrevival"), False),
     "autocorr csv": (_KERNEL_LAYERS + ("_sciformat",), True),
     "autocorr json": (_KERNEL_LAYERS + ("_reprformat", "_sciformat"), True),
     "slice": (_KERNEL_LAYERS + ("_sciformat", "circular"), True),
     "verify": (_KERNEL_LAYERS + ("analysis", "superrevival"), True),
 }
-# The commands that form weights, the only users of numpy.fft.
-FFT_COMMANDS = ("predict",)
+# The commands that load numpy.fft: none, since predict at the default q
+# sums its weights directly (l <= superrevival._DIRECT_MAX_L) and verify
+# forms no weights.
+FFT_COMMANDS = ()
 
 
 def test_formatters_load_only_where_used():
     """Each command, in a fresh process, imports only the layers it runs
     (COMMAND_MODULES): predict and verify load neither number formatter, a
-    CSV autocorr not the JSON one, and `rydlab --help` loads no rydlab
-    layer and no numpy.  No command loads numpy.ma (np.median imports it on
-    first use) beyond what a bare `import numpy` loads (numpy 1.24 imports
-    it eagerly), only predict loads numpy.fft (verify forms no weights)
-    beyond what `import numpy` loads (numpy 1.x imports it eagerly), and no
-    help loads dataclasses or json."""
+    CSV autocorr not the JSON one, and neither `rydlab --help` nor a
+    predict at small q loads numpy (predict's weights are summed directly;
+    --help loads no rydlab layer).  No command loads numpy.ma (np.median
+    imports it on first use) or numpy.fft (FFT_COMMANDS) beyond what a bare
+    `import numpy` loads (numpy 1.24 imports numpy.ma eagerly, numpy 1.x
+    numpy.fft), and no help loads dataclasses or json."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1505,7 +1507,8 @@ def test_streamed_predict_matches_json_dumps(flags, chunk, capsys, tmp_path, mon
 def test_streamed_predict_single_weight(monkeypatch):
     """l = 1 (not reachable from a valid q) and several records in a row."""
     pred = rydlab.prediction_table(AtomSpec(48, 1.5), [12])[0]
-    preds = [replace(pred, l=1, b=pred.b[:1]), pred, replace(pred, b=-pred.b)]
+    negated = replace(pred, b=tuple(-v for v in pred.b))
+    preds = [replace(pred, l=1, b=pred.b[:1]), pred, negated]
     head = {"nbar": 48.0, "sigma": 1.5, "defect": 0.0}
     want = json.dumps({**head, "predictions": [whole_prediction_record(p) for p in preds]},
                       indent=2) + "\n"

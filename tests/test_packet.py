@@ -113,6 +113,16 @@ def test_coefficient_set_validation():
         CoefficientSet(offsets=np.array([0, 1]), weights=np.array([math.nan, 1.0]))
     with pytest.raises(ValueError):
         CoefficientSet(offsets=np.array([[0, 1]]), weights=np.array([[0.6, 0.8]]))
+    # offsets that are not integers are refused, not truncated or cast
+    for offsets in ([0.5, 1.5], [math.nan, 1.0], [0.0, math.inf], [2.0**63, 2.0**63 + 1],
+                    [False, True]):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            CoefficientSet(offsets=np.array(offsets), weights=np.array([0.6, 0.8]))
+    with pytest.raises(ValueError, match="offsets must be integers"):
+        CoefficientSet(offsets=np.array([math.nan]), weights=np.array([1.0]))
+    # integral floats stay valid, as their integers
+    c = CoefficientSet(offsets=np.array([0.0, 1.0]), weights=np.array([0.6, 0.8]))
+    assert c.offsets.dtype == np.int64 and c.offsets.tolist() == [0, 1]
 
 
 def test_weights_are_immutable():

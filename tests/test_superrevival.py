@@ -26,7 +26,7 @@ from rydlab import (
     weights,
 )
 from rydlab.autocorr import phase_cycles
-from rydlab.superrevival import NONZERO_WEIGHT_EPS
+from rydlab.superrevival import _DIRECT_MAX_L, NONZERO_WEIGHT_EPS
 
 REFERENCE_Q = (36, 18, 12, 9, 6)
 
@@ -194,6 +194,34 @@ def test_weights_match_fraction_oracle_every_q(nbar):
 @given(nbar=st.integers(1, 2000), q=st.integers(1, 50).map(lambda j: 3 * j))
 def test_weights_match_fraction_oracle_property(nbar, q):
     assert_matches_fraction_oracle(nbar, q)
+
+
+def q_with_l_at(limit, above):
+    """The q nearest limit with l = q (9 does not divide q), at most limit
+    or, when above, past it."""
+    q = limit - limit % 3 + (3 if above else 0)
+    while q % 9 == 0:
+        q += 3 if above else -3
+    return q
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["direct", "fft"])
+def test_weights_on_both_sides_of_the_direct_limit(above, monkeypatch):
+    """l just below _DIRECT_MAX_L is summed directly, with no FFT; l just
+    above it is one FFT.  Both match the exact-rational loop and give a
+    tuple."""
+    import numpy.fft
+
+    q = q_with_l_at(_DIRECT_MAX_L, above)
+    calls = []
+    ifft = numpy.fft.ifft
+    monkeypatch.setattr(numpy.fft, "ifft", lambda x: calls.append(len(x)) or ifft(x))
+    assert_matches_fraction_oracle(320, q)
+    pred = weights(320, q)
+    assert (pred.l > _DIRECT_MAX_L) == above and pred.l >= _DIRECT_MAX_L - 6
+    assert calls == ([q, q] if above else [])
+    assert type(pred.b) is tuple and all(type(v) is complex for v in pred.b)
+    assert pred.kind == "fractional"
 
 
 def test_weights_at_large_l():
@@ -433,6 +461,22 @@ def test_tables_refuse_in_one_order(table):
     for q in (6.5, np.float64(12.9), "6"):
         with pytest.raises(ValueError, match="q must be an integer, got "):
             table(AtomSpec(320, 2.5), (6, q))
+
+
+def test_bool_nbar_is_refused():
+    """True is an int to isinstance, but not a quantum number."""
+    for call in (integer_constants, weights):
+        with pytest.raises(ValueError, match="integer nbar, got True"):
+            call(True, 6)
+    assert integer_constants(np.int64(320), 6) == integer_constants(320.0, 6)
+
+
+def test_fraction_spec_refuses_bool():
+    """FractionSpec(True) is not a q of 1: it fails as a non-integer."""
+    for q in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="q must be an integer, got "):
+            FractionSpec(q)
+    assert type(FractionSpec(np.int64(6)).q) is int and FractionSpec(np.int64(6)).q == 6
 
 
 def test_fraction_spec_accepted_everywhere():
