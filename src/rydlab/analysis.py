@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autocorr import Signal, TimeGrid, _window_indices
+from .spectrum import _Record
 
 if TYPE_CHECKING:
     from .superrevival import SuperrevivalTiming
@@ -37,8 +37,7 @@ DEFAULT_SEPARATION_FACTOR = 0.6
 DEFAULT_TOLERANCE = 0.10
 
 
-@dataclass(frozen=True)
-class PeakTrain:
+class PeakTrain(_Record):
     """Refined peak times and heights inside a time window."""
 
     times: np.ndarray
@@ -47,6 +46,8 @@ class PeakTrain:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         heights = np.asarray(self.heights, dtype=float)
+        if times.ndim != 1 or heights.ndim != 1:
+            raise ValueError("times and heights must be 1-d arrays")
         if times.size != heights.size:
             raise ValueError("times and heights must align")
         if not np.all(np.diff(times) > 0):
@@ -58,8 +59,7 @@ class PeakTrain:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class PeriodicityEstimate:
+class PeriodicityEstimate(_Record):
     """Median peak spacing with a robust spread measure.
 
     offset_from_prediction is measured minus predicted period (None when no
@@ -73,8 +73,7 @@ class PeriodicityEstimate:
     offset_from_prediction: float | None = None
 
 
-@dataclass(frozen=True)
-class VerificationEntry:
+class VerificationEntry(_Record):
     """Outcome of checking one prediction against a signal."""
 
     q: int
@@ -180,21 +179,21 @@ def _judge(
 ) -> VerificationEntry:
     """The entry of one prediction from the samples of its window (see
     verify); "not evaluated" when window is None."""
-    entry = VerificationEntry(
-        q=pred.q, predicted=pred.periodicity, measured=None, deviation=None,
-        peak_height=None, n_peaks=0, status="not evaluated",
-    )
-    if window is None:
-        return entry
-    train = find_peaks(window, threshold, DEFAULT_SEPARATION_FACTOR * pred.periodicity)
-    height = float(train.heights.max()) if len(train) else None
-    entry = replace(entry, peak_height=height, n_peaks=len(train), status="fail")
-    if len(train) >= 3:
-        est = estimate_periodicity(train, predicted_period=pred.periodicity)
-        deviation = abs(est.offset_from_prediction) / pred.periodicity
-        entry = replace(entry, measured=est.period, deviation=deviation,
-                        status="pass" if deviation <= tolerance else "fail")
-    return entry
+    measured = deviation = height = None
+    n_peaks, status = 0, "not evaluated"
+    if window is not None:
+        train = find_peaks(window, threshold, DEFAULT_SEPARATION_FACTOR * pred.periodicity)
+        n_peaks, status = len(train), "fail"
+        if n_peaks:
+            height = float(train.heights.max())
+        if n_peaks >= 3:
+            est = estimate_periodicity(train, predicted_period=pred.periodicity)
+            measured = est.period
+            deviation = abs(est.offset_from_prediction) / pred.periodicity
+            status = "pass" if deviation <= tolerance else "fail"
+    return VerificationEntry(q=pred.q, predicted=pred.periodicity, measured=measured,
+                             deviation=deviation, peak_height=height, n_peaks=n_peaks,
+                             status=status)
 
 
 def verify(

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _ddmath as dd
 from .packet import CoefficientSet
-from .spectrum import AtomSpec
+from .spectrum import AtomSpec, _Record
 
 
 class PhaseModel(enum.Enum):
@@ -58,8 +57,7 @@ class PhaseModel(enum.Enum):
         return {"exact": None, "order1": 1, "order2": 2, "order3": 3}[self.value]
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_Record):
     """Uniform time grid t0 + dt * i for i in range(count), atomic units."""
 
     t0: float
@@ -94,8 +92,7 @@ def _check_a2(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(_Record):
     """Uniformly sampled |A(t)|^2 series."""
 
     t0: float

@@ -12,18 +12,16 @@ density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _ddmath as dd
 from .autocorr import PhaseModel, _check_grid, _check_range, _Kernel, phase_cycles
 from .packet import CoefficientSet
-from .spectrum import AtomSpec
+from .spectrum import AtomSpec, _Record
 
 
-@dataclass(frozen=True)
-class AngularGrid:
+class AngularGrid(_Record):
     """Uniform azimuthal grid phi0 + dphi * i, radians."""
 
     phi0: float

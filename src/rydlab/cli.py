@@ -30,8 +30,9 @@ the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
 parser builds the flags of the command being run only.  So `predict` loads
 spectrum and superrevival, and no numpy unless some q has l past
-superrevival._DIRECT_MAX_L (its weights are then one FFT), and `rydlab
---help` loads no rydlab layer, no json, no dataclasses and no numpy.
+superrevival._DIRECT_MAX_L (its weights are then one FFT), and no inspect.
+No command loads dataclasses (the records derive from spectrum._Record),
+and `rydlab --help` loads no rydlab layer, no json and no numpy.
 The process entry (`rydlab`, `python -m rydlab.cli`) is run(): it freezes
 the heap (gc.freeze) after the command, just before exit, so interpreter
 teardown does not walk what the command and its imports built; main()

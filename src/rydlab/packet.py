@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import AtomSpec, to_si
+from .spectrum import AtomSpec, _Record, to_si
 
 # Default truncation: the narrowest symmetric window that drops at most this
 # share of the Gaussian mass.  |A|^2 moves by 1-3x the dropped mass, so the
@@ -18,8 +17,7 @@ MAX_DROPPED_MASS = 1e-12
 _SEARCH_SIGMAS = 12.0
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(_Record):
     """Eigenstate amplitudes c_k indexed by the offset k = n - nbar.
 
     Offsets are contiguous integers, symmetric about 0 unless the window had

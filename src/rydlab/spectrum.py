@@ -9,12 +9,18 @@ the I/O boundary.  The three clocks of the long-term dynamics are
 
 with n* = nbar - delta the effective (quantum-defected) central quantum
 number.
+
+The record types of every layer (AtomSpec and TimeScales here, TimeGrid,
+CoefficientSet, PeakTrain, SuperrevivalPrediction, ...) derive from one
+private base, _Record: plain frozen classes with the construction,
+equality, hashing and repr of a frozen dataclass, but no code generated or
+compiled per class, and no import of dataclasses (which loads inspect, ast,
+dis and tokenize) in any command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Atomic unit of time in seconds (hbar / E_h).
 ATOMIC_UNIT_OF_TIME = 2.4188843265857e-17
@@ -32,8 +38,72 @@ MAX_NBAR = 1e59
 MAX_SIGMA = 1e3
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class _Record:
+    """Base of the frozen record types.
+
+    A subclass's fields are its base's, then the names it annotates itself,
+    in order; a class attribute with a field's name is that field's default.
+    The constructor takes the fields by position or keyword (TypeError for a
+    missing, unknown or repeated one), stores them in the instance __dict__
+    and then calls __post_init__, which may normalize a field with
+    object.__setattr__.  Assigning or deleting an attribute raises
+    AttributeError.  Records are equal when they are of the same type and
+    their field tuples are equal, hash as that tuple, and print as
+    Name(field=value, ...): the semantics of @dataclass(frozen=True).
+    """
+
+    _fields = ()  # the field names, set for each subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, "
+                            f"got {len(args)} positional arguments")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for field {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                if not hasattr(cls, field):
+                    raise TypeError(f"{cls.__name__}() missing field {field!r}")
+                values[field] = getattr(cls, field)
+        self.__dict__.update({field: values[field] for field in fields})
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{field}={value!r}" for field, value in zip(self._fields, self._values())) + ")"
+
+
+class AtomSpec(_Record):
     """Parameters of a simulated wave packet.
 
     nbar:   central principal quantum number (real, in [1, MAX_NBAR])
@@ -79,8 +149,7 @@ class AtomSpec:
         return self.nbar - self.defect
 
 
-@dataclass(frozen=True)
-class TimeScales:
+class TimeScales(_Record):
     """The three characteristic times, in atomic units."""
 
     t_cl: float

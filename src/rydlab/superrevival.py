@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .spectrum import AtomSpec, timescales_from_nstar
+from .spectrum import AtomSpec, _Record, timescales_from_nstar
 
 if TYPE_CHECKING:
     from .packet import CoefficientSet
@@ -56,8 +55,7 @@ NONZERO_WEIGHT_EPS = 1e-9
 _DIRECT_MAX_L = 650
 
 
-@dataclass(frozen=True)
-class FractionSpec:
+class FractionSpec(_Record):
     """Denominator q of a candidate superrevival time t = t_sr / q; an
     integral float is taken as its int."""
 
@@ -84,8 +82,7 @@ class IntegerConstants(NamedTuple):
     alpha: int
 
 
-@dataclass(frozen=True)
-class SuperrevivalTiming:
+class SuperrevivalTiming(_Record):
     """Predicted time center t_sr/q and comb periodicity (3/q) t_rev of one q."""
 
     q: int
@@ -93,7 +90,6 @@ class SuperrevivalTiming:
     periodicity: float
 
 
-@dataclass(frozen=True)
 class SuperrevivalPrediction(SuperrevivalTiming):
     """A timing with the subsidiary-packet weights b_s and their integers."""
 
@@ -109,13 +105,20 @@ def _as_q(q) -> int:
 
 
 def _as_integer_nbar(nbar) -> int:
-    if isinstance(nbar, bool) or isinstance(nbar, float) and not nbar.is_integer():
+    """nbar as an int.  ValueError for a bool and for a value of any type
+    that does not equal its int (a fraction, NaN, inf), which int() would
+    truncate to another nbar; and for nbar < 1."""
+    try:
+        integer = int(nbar)
+    except (TypeError, ValueError, OverflowError):
+        integer = None
+    if isinstance(nbar, bool) or integer is None or integer != nbar:
         raise ValueError(
-            f"the subsidiary-packet integer arithmetic needs integer nbar, got {nbar}"
+            f"the subsidiary-packet integer arithmetic needs integer nbar, got {nbar!r}"
         )
-    if nbar < 1:
-        raise ValueError(f"nbar must be a positive integer, got {int(nbar)}")
-    return int(nbar)
+    if integer < 1:
+        raise ValueError(f"nbar must be a positive integer, got {integer}")
+    return integer
 
 
 def integer_constants(nbar, q) -> IntegerConstants:

@@ -4,7 +4,6 @@ Each test prints one line, `criterion N [PASS|FAIL]: ...`, before asserting,
 so a full `pytest -s tests/test_acceptance.py` reads as a checklist.
 """
 
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -14,6 +13,7 @@ import pytest
 
 from rydlab import (
     AtomSpec,
+    CoefficientSet,
     PhaseModel,
     TimeGrid,
     autocorrelation,
@@ -206,7 +206,7 @@ def test_criterion_8b_phase_invariance():
     worst = 0.0
     for _ in range(5):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, coeffs.weights.size))
-        rotated = dataclasses.replace(coeffs, weights=coeffs.weights * phases)
+        rotated = CoefficientSet(coeffs.offsets, coeffs.weights * phases)
         sig = autocorrelation(rotated, PhaseModel.EXACT, spec, grid)
         worst = max(worst, float(np.max(np.abs(sig.values - base.values))))
     report("8b", worst < 1e-12, f"|A|^2 shift under coefficient phases: {worst:.1e}")

@@ -119,6 +119,18 @@ def test_peak_train_needs_increasing_times():
             PeakTrain(np.array(times), np.ones(len(times)))
 
 
+def test_peak_train_needs_1d_arrays():
+    """times and heights are 1-d: a (1, 4) train would have len 4 and fail
+    inside estimate_periodicity's median, and a scalar orders no peaks."""
+    for times, heights in ((np.array([[1.0, 2.0, 3.0, 4.0]]), np.ones((1, 4))),
+                           (np.array([1.0, 2.0, 3.0, 4.0]), np.ones((1, 4))),
+                           (np.array(1.0), np.array(0.5))):
+        with pytest.raises(ValueError, match="1-d"):
+            PeakTrain(times, heights)
+    train = PeakTrain([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
+    assert len(train) == 4 and estimate_periodicity(train).period == 1.0
+
+
 def test_find_peaks_parameter_validation(signal48):
     with pytest.raises(ValueError):
         find_peaks(signal48, threshold=0.0, min_separation=1.0)

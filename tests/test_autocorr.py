@@ -1,6 +1,5 @@
 """The autocorrelation signal |A(t)|^2 and its phase models."""
 
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -126,7 +125,7 @@ def test_invariant_under_coefficient_phases(spec48):
     rng = np.random.default_rng(5)
     coeffs = gaussian_packet(spec48)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, coeffs.weights.size))
-    rotated = dataclasses.replace(coeffs, weights=coeffs.weights * phases)
+    rotated = CoefficientSet(coeffs.offsets, coeffs.weights * phases)
     grid = TimeGrid(0.0, timescales(spec48).t_cl / 7, 2000)
     a = autocorrelation(coeffs, PhaseModel.EXACT, spec48, grid)
     b = autocorrelation(rotated, PhaseModel.EXACT, spec48, grid)

@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from rydlab import (
     AtomSpec,
     PhaseModel,
     Signal,
+    SuperrevivalPrediction,
     TimeGrid,
     angular_slice,
     autocorrelation,
@@ -1232,7 +1232,9 @@ def test_formatters_load_only_where_used():
     --help loads no rydlab layer).  No command loads numpy.ma (np.median
     imports it on first use) or numpy.fft (FFT_COMMANDS) beyond what a bare
     `import numpy` loads (numpy 1.24 imports numpy.ma eagerly, numpy 1.x
-    numpy.fft), and no help loads dataclasses or json."""
+    numpy.fft), and no help loads dataclasses, inspect or json.  No command
+    loads dataclasses (the records derive from spectrum._Record), and
+    predict loads no inspect (numpy imports it, so the other commands do)."""
     src = str(Path(rydlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1260,7 +1262,8 @@ def test_formatters_load_only_where_used():
         "                      if m.startswith('rydlab.') and m != 'rydlab.cli')),\n"
         "      'numpy' in sys.modules, 'numpy.ma' in sys.modules,\n"
         "      'numpy.fft' in sys.modules,\n"
-        "      sorted({'dataclasses', 'json'} & set(sys.modules)), sep='|', file=report)\n"
+        "      ' '.join(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))),\n"
+        "      sep='|', file=report)\n"
     )
 
     def child(*args):
@@ -1276,8 +1279,11 @@ def test_formatters_load_only_where_used():
         assert (command, loaded.split(), numpy) == (command, sorted(modules), str(numpy_loaded))
         assert ma == "False" or bare_ma == "True", command
         assert fft == str(command in FFT_COMMANDS) or bare_fft == "True", command
+        assert "dataclasses" not in stdlib.split(), command
         if command.endswith("--help"):
-            assert stdlib == "[]", command
+            assert stdlib == "", command
+        if command == "predict":
+            assert "inspect" not in stdlib.split(), command
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1507,8 +1513,8 @@ def test_streamed_predict_matches_json_dumps(flags, chunk, capsys, tmp_path, mon
 def test_streamed_predict_single_weight(monkeypatch):
     """l = 1 (not reachable from a valid q) and several records in a row."""
     pred = rydlab.prediction_table(AtomSpec(48, 1.5), [12])[0]
-    negated = replace(pred, b=tuple(-v for v in pred.b))
-    preds = [replace(pred, l=1, b=pred.b[:1]), pred, negated]
+    negated = SuperrevivalPrediction(**{**vars(pred), "b": tuple(-v for v in pred.b)})
+    preds = [SuperrevivalPrediction(**{**vars(pred), "l": 1, "b": pred.b[:1]}), pred, negated]
     head = {"nbar": 48.0, "sigma": 1.5, "defect": 0.0}
     want = json.dumps({**head, "predictions": [whole_prediction_record(p) for p in preds]},
                       indent=2) + "\n"

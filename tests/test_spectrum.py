@@ -7,7 +7,18 @@ import pytest
 
 from rydlab import (
     ATOMIC_UNIT_OF_TIME,
+    AngularGrid,
     AtomSpec,
+    CoefficientSet,
+    FractionSpec,
+    PeakTrain,
+    PeriodicityEstimate,
+    Signal,
+    SuperrevivalPrediction,
+    SuperrevivalTiming,
+    TimeGrid,
+    TimeScales,
+    VerificationEntry,
     energy,
     from_si,
     timescales,
@@ -147,3 +158,115 @@ def test_timescales_need_nstar_up_to_max_nbar():
                  lambda: weights(10**62, 6)):
         with pytest.raises(ValueError, match="nstar must be in"):
             call()
+
+
+# A sample of each of the 12 record types and its repr, as
+# @dataclass(frozen=True) printed it before the records derived from
+# spectrum._Record.
+RECORD_REPRS = {
+    "AtomSpec": (lambda: AtomSpec(48, 1.5, 0.25),
+                 "AtomSpec(nbar=48.0, sigma=1.5, defect=0.25)"),
+    "TimeScales": (lambda: TimeScales(t_cl=1.0, t_rev=2.5, t_sr=3.75),
+                   "TimeScales(t_cl=1.0, t_rev=2.5, t_sr=3.75)"),
+    "CoefficientSet": (lambda: CoefficientSet([-1, 0, 1], [0.6, 0.0, 0.8]),
+                       "CoefficientSet(offsets=array([-1,  0,  1]), "
+                       "weights=array([0.6+0.j, 0. +0.j, 0.8+0.j]))"),
+    "TimeGrid": (lambda: TimeGrid(0.0, 0.5, 4), "TimeGrid(t0=0.0, dt=0.5, count=4)"),
+    "Signal": (lambda: Signal(1.0, 0.25, [0.5, 1.0]),
+               "Signal(t0=1.0, dt=0.25, values=array([0.5, 1. ]))"),
+    "AngularGrid": (lambda: AngularGrid(-1.5, 0.75, 4),
+                    "AngularGrid(phi0=-1.5, dphi=0.75, count=4)"),
+    "PeakTrain": (lambda: PeakTrain([1.0, 2.0], [0.5, 0.25]),
+                  "PeakTrain(times=array([1., 2.]), heights=array([0.5 , 0.25]))"),
+    "PeriodicityEstimate": (lambda: PeriodicityEstimate(2.0, 0.125),
+                            "PeriodicityEstimate(period=2.0, spread=0.125, "
+                            "offset_from_prediction=None)"),
+    "VerificationEntry": (lambda: VerificationEntry(6, 2.0, 2.5, 0.25, 0.75, 5, "pass"),
+                          "VerificationEntry(q=6, predicted=2.0, measured=2.5, deviation=0.25, "
+                          "peak_height=0.75, n_peaks=5, status='pass')"),
+    "FractionSpec": (lambda: FractionSpec(6.0), "FractionSpec(q=6)"),
+    "SuperrevivalTiming": (lambda: SuperrevivalTiming(6, 100.0, 2.5),
+                           "SuperrevivalTiming(q=6, time_center=100.0, periodicity=2.5)"),
+    "SuperrevivalPrediction": (
+        lambda: SuperrevivalPrediction(6, 100.0, 2.5, 2, 1, 4, (1j, 0j), "full"),
+        "SuperrevivalPrediction(q=6, time_center=100.0, periodicity=2.5, l=2, alpha=1, "
+        "N=4, b=(1j, 0j), kind='full')"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_REPRS)
+def test_record_repr_matches_dataclass(name):
+    make, text = RECORD_REPRS[name]
+    record = make()
+    assert type(record).__name__ == name
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("name", RECORD_REPRS)
+def test_record_is_frozen(name):
+    """Assigning or deleting a field, or any other attribute, raises
+    AttributeError (as dataclasses.FrozenInstanceError did) and changes
+    nothing; vars() still reads the fields."""
+    record = RECORD_REPRS[name][0]()
+    before = repr(record)
+    field = next(iter(vars(record)))
+    for attribute in (field, "other"):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, attribute, 1)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(record, attribute)
+    assert repr(record) == before and "other" not in vars(record)
+
+
+def test_record_equality_and_hash():
+    """Records of one type compare and hash as their field tuples; records
+    of another type, or tuples, are never equal to them; a record with an
+    ndarray field is unhashable."""
+    spec = AtomSpec(320, 2.5)
+    assert spec == AtomSpec(nbar=320.0, sigma=2.5, defect=0.0)
+    assert hash(spec) == hash(AtomSpec(320.0, 2.5)) == hash((320.0, 2.5, 0.0))
+    assert spec != AtomSpec(320, 2.6) and spec != AtomSpec(320, 2.5, 0.5)
+    assert spec != (320.0, 2.5, 0.0) and spec.__eq__((320.0, 2.5, 0.0)) is NotImplemented
+    timed = SuperrevivalTiming(6, 1.0, 2.0)
+    assert timed != TimeScales(6.0, 1.0, 2.0)  # equal field tuples, other type
+    assert timed != SuperrevivalPrediction(6, 1.0, 2.0, 2, 1, 4, (), "full")
+    entry = VerificationEntry(12, 1.0, None, None, None, 0, "not evaluated")
+    assert hash(entry) == hash((12, 1.0, None, None, None, 0, "not evaluated"))
+    assert {weights(320, 6), weights(320, 6), timing(320, 6)} == {weights(320, 6),
+                                                                  timing(320, 6)}
+    assert len({FractionSpec(6), FractionSpec(6.0), FractionSpec(9)}) == 2
+    for name in ("CoefficientSet", "Signal", "PeakTrain"):  # ndarray fields
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(RECORD_REPRS[name][0]())
+
+
+def test_record_construction():
+    """Fields by position, keyword or default; TypeError for a missing,
+    unknown or repeated field, or too many positional arguments."""
+    assert AtomSpec(48, 1.5) == AtomSpec(sigma=1.5, nbar=48) == AtomSpec(48, sigma=1.5,
+                                                                       defect=0.0)
+    assert AtomSpec(48, 1.5).defect == 0.0
+    assert PeriodicityEstimate(2.0, 0.125).offset_from_prediction is None
+    estimate = PeriodicityEstimate(2.0, 0.125, offset_from_prediction=-0.5)
+    assert estimate.offset_from_prediction == -0.5
+    for call, message in (
+        (lambda: AtomSpec(48), "missing field 'sigma'"),
+        (lambda: AtomSpec(nbar=48, defect=0.1), "missing field 'sigma'"),
+        (lambda: AtomSpec(48, 1.5, nstar=48), "unexpected field 'nstar'"),
+        (lambda: AtomSpec(48, 1.5, nbar=48), "multiple values for field 'nbar'"),
+        (lambda: AtomSpec(48, 1.5, 0.0, 1.0), "takes 3 fields, got 4 positional"),
+        (lambda: TimeScales(1.0, 2.0), "missing field 't_sr'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
+def test_prediction_fields_follow_timing_fields():
+    """SuperrevivalPrediction's fields are SuperrevivalTiming's, then its
+    own, in that order in the constructor, repr and vars()."""
+    pred = weights(320, 6)
+    assert list(vars(timing(320, 6))) == ["q", "time_center", "periodicity"]
+    assert list(vars(pred)) == ["q", "time_center", "periodicity", "l", "alpha", "N", "b",
+                                "kind"]
+    assert SuperrevivalPrediction(*vars(pred).values()) == pred
+    assert SuperrevivalPrediction(**vars(pred)) == pred

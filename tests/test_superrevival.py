@@ -464,11 +464,20 @@ def test_tables_refuse_in_one_order(table):
 
 
 def test_bool_nbar_is_refused():
-    """True is an int to isinstance, but not a quantum number."""
+    """True is an int to isinstance, but not a quantum number; nor is a
+    value of any type that does not equal its int, which int() would
+    truncate to another nbar (np.float32(320.5) read as 320)."""
     for call in (integer_constants, weights):
         with pytest.raises(ValueError, match="integer nbar, got True"):
             call(True, 6)
+        for nbar in (np.float32(320.5), Fraction(641, 2), 320.5, np.float64(320.5),
+                     math.nan, math.inf, np.float32(math.nan), "320"):
+            with pytest.raises(ValueError, match="integer nbar, got "):
+                call(nbar, 6)
     assert integer_constants(np.int64(320), 6) == integer_constants(320.0, 6)
+    for nbar in (np.float32(320.0), 320.0, np.int64(320), Fraction(640, 2)):
+        assert integer_constants(nbar, 6) == integer_constants(320, 6) == (6, 128, 5)
+        assert weights(nbar, 6) == weights(320, 6)
 
 
 def test_fraction_spec_refuses_bool():
