@@ -21,6 +21,7 @@ dis and tokenize) in any command.
 from __future__ import annotations
 
 import math
+import sys
 
 # Atomic unit of time in seconds (hbar / E_h).
 ATOMIC_UNIT_OF_TIME = 2.4188843265857e-17
@@ -36,6 +37,13 @@ MAX_NBAR = 1e59
 # slice peaks at 55 MB at sigma = 1e3 and at 263 MB at sigma = 1e4, a
 # 10^4-sample autocorr at 62 MB and 340 MB.
 MAX_SIGMA = 1e3
+
+
+def _is_bool(value) -> bool:
+    """True for a bool or a numpy.bool_, which float() and int() would read
+    as 0 or 1.  numpy is not imported: a numpy.bool_ exists only once it is."""
+    numpy = sys.modules.get("numpy")
+    return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
 
 
 class _Record:
@@ -117,9 +125,11 @@ class AtomSpec(_Record):
     defect: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "nbar", float(self.nbar))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "defect", float(self.defect))
+        for field in self._fields:
+            value = getattr(self, field)
+            if _is_bool(value):
+                raise ValueError(f"{field} must be a number, not a bool; got {value!r}")
+            object.__setattr__(self, field, float(value))
         if not (self.nbar >= 1.0):
             raise ValueError(f"nbar must be >= 1, got {self.nbar}")
         if not (self.nbar <= MAX_NBAR):

@@ -23,10 +23,10 @@ packets (a fractional superrevival).  Either way the autocorrelation
 acquires peaks with periodicity approximately (3/q) t_rev.
 
 Every phase of the sum is an integer multiple of 2*pi/(4q), so each term is
-a 4q-th root of unity.  weights sums them directly in the standard library
-up to l = _DIRECT_MAX_L, and takes numpy's inverse FFT above it; numpy is
-imported there and in reconstruct only, so a `predict` at small q loads no
-numpy.  b is a tuple of complex either way.
+a 4q-th root of unity.  One private DFT, _chirp_dft, sums them directly in
+the standard library up to l = _DIRECT_MAX_L and takes numpy's inverse FFT
+above it; numpy is imported there and in reconstruct only, so a `predict`
+at small q loads no numpy.  b is a tuple of complex either way.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .spectrum import AtomSpec, _Record, timescales_from_nstar
+from .spectrum import AtomSpec, _is_bool, _Record, timescales_from_nstar
 
 if TYPE_CHECKING:
     from .packet import CoefficientSet
@@ -105,14 +105,14 @@ def _as_q(q) -> int:
 
 
 def _as_integer_nbar(nbar) -> int:
-    """nbar as an int.  ValueError for a bool and for a value of any type
-    that does not equal its int (a fraction, NaN, inf), which int() would
-    truncate to another nbar; and for nbar < 1."""
+    """nbar as an int.  ValueError for a bool or numpy.bool_, for a value of
+    any type that does not equal its int (a fraction, NaN, inf), which int()
+    would truncate to another nbar, and for nbar < 1."""
     try:
         integer = int(nbar)
     except (TypeError, ValueError, OverflowError):
         integer = None
-    if isinstance(nbar, bool) or integer is None or integer != nbar:
+    if _is_bool(nbar) or integer is None or integer != nbar:
         raise ValueError(
             f"the subsidiary-packet integer arithmetic needs integer nbar, got {nbar!r}"
         )
@@ -160,20 +160,43 @@ def _unit_circle(m: int) -> tuple[list[float], list[float]]:
     return c + minus_s + minus_c + s, s + c + minus_s + minus_c
 
 
+def _chirp_dft(a2: int, a3: int, m: int, L: int, alpha: int) -> tuple[complex, ...]:
+    """The inverse L-point DFT of the chirp omega^chirp_k, read at s ->
+    alpha*s mod L: b_s = (1/L) sum_{k<L} omega^(chirp_k + (m/L)*alpha*s*k)
+    for s in range(L), with omega = exp(2*pi*i/m), chirp_k = (a2*k^2 +
+    a3*k^3) mod m, and m a multiple of 4 and of L.
+
+    The exponents are exact integers mod m; at large a2 a float phase would
+    lose its fractional part to rounding.  Up to L = _DIRECT_MAX_L the sum
+    is direct: row s holds the exponents, each next row adds (m/L)*alpha*k,
+    and each term's cos and sin are read from one table of the m roots of
+    unity and added with math.fsum, in O(L^2) without numpy.  Above it, b is
+    one numpy inverse FFT, in O(L log L), of the chirp reduced mod m in
+    int64 (exact for m up to ~3e9), indexed at alpha*s mod L.
+    """
+    if L <= _DIRECT_MAX_L:
+        cos, sin = _unit_circle(m)
+        row = [(a2 + a3 * k) * k * k % m for k in range(L)]
+        step = [m // L * alpha * k % m for k in range(L)]
+        b = []
+        for _ in range(L):
+            b.append(complex(math.fsum(map(cos.__getitem__, row)) / L,
+                             math.fsum(map(sin.__getitem__, row)) / L))
+            row = [(j + d) % m for j, d in zip(row, step)]
+        return tuple(b)
+    import numpy as np
+
+    k = np.arange(L, dtype=np.int64)
+    chirp = (a2 % m + a3 % m * k) % m * (k * k % m) % m
+    return tuple(np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % L * k % L].tolist())
+
+
 def weights(nbar, q) -> SuperrevivalPrediction:
     """Subsidiary-packet weights b_s, with the timing(nbar, q) they hold at.
 
-    The chirp phase 3*nbar*k'^2/(4q) - k'^3/q is held as an exact integer
-    numerator mod m = 4q; with large nbar a float phase would lose its
-    fractional part to rounding.  Because l divides q, the shift term
-    alpha*s*k'/l is a DFT kernel, so b is the inverse l-point DFT of the
-    unimodular chirp, read at s -> alpha*s mod l.  Up to l = _DIRECT_MAX_L
-    that DFT is summed directly in integers: each term is omega^j with
-    omega = exp(2*pi*i/m) and j = (chirp_k' + (m/l)*k'*r) mod m, read from
-    one table of the m roots of unity and added with math.fsum, in O(l^2)
-    and without numpy.  Above it, b is one inverse FFT, in O(l log l), with
-    the chirp reduced mod m in int64 (exact for q up to ~7e8).  Either way
-    b is a tuple of complex.
+    The chirp phase 3*nbar*k'^2/(4q) - k'^3/q is an integer numerator mod
+    m = 4q.  Because l divides q, the shift term alpha*s*k'/l is a DFT
+    kernel, so b is _chirp_dft(3*nbar, -4, m, l, alpha), a tuple of complex.
 
     Precondition: b is the subsidiary-packet expansion only where the chirp
     is l-periodic in k', that is for nbar = 0 (mod 4), or nbar = 2 (mod 4)
@@ -184,37 +207,12 @@ def weights(nbar, q) -> SuperrevivalPrediction:
     nbar = _as_integer_nbar(nbar)
     q = _as_q(q)
     l, N, alpha = integer_constants(nbar, q)
-    m = 4 * q
-    if l <= _DIRECT_MAX_L:
-        cos, sin = _unit_circle(m)
-        # dft[r] = (1/l) sum_k' omega^row[k'] with row[k'] the exponent
-        # (chirp_k' + (m/l)*k'*r) mod m: row 0 is the chirp, each next row
-        # adds (m/l)*k'
-        row = [(3 * nbar * k * k - 4 * k**3) % m for k in range(l)]
-        step = [m // l * k for k in range(l)]
-        dft = []
-        for _ in range(l):
-            dft.append(complex(math.fsum(map(cos.__getitem__, row)) / l,
-                               math.fsum(map(sin.__getitem__, row)) / l))
-            row = [(j + d) % m for j, d in zip(row, step)]
-        b = tuple(dft[alpha * s % l] for s in range(l))
-        nonzero = sum(abs(v) > NONZERO_WEIGHT_EPS for v in b)
-    else:
-        import numpy as np
-
-        k = np.arange(l, dtype=np.int64)
-        chirp = ((3 * nbar) % m * (k * k % m) - 4 * (k * k % q) * k) % m
-        fft = np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % l * k % l]
-        nonzero = int(np.count_nonzero(np.abs(fft) > NONZERO_WEIGHT_EPS))
-        b = tuple(fft.tolist())
-    return SuperrevivalPrediction(
-        **vars(timing(nbar, q)),
-        l=l,
-        alpha=alpha,
-        N=N,
-        b=b,
-        kind="full" if nonzero == 1 else "fractional",
-    )
+    b = _chirp_dft(3 * nbar, -4, 4 * q, l, alpha)
+    # one nonzero weight is a full superrevival; a second settles the kind
+    nonzero = (v for v in b if abs(v) > NONZERO_WEIGHT_EPS)
+    full = next(nonzero, None) is not None and next(nonzero, None) is None
+    return SuperrevivalPrediction(**vars(timing(nbar, q)), l=l, alpha=alpha, N=N, b=b,
+                                  kind="full" if full else "fractional")
 
 
 def timing_table(spec: AtomSpec, q_list: Sequence) -> list[SuperrevivalTiming]:

@@ -143,6 +143,11 @@ def test_atom_spec_validation():
         AtomSpec(nbar=48, sigma=47.9, defect=0.5)  # distribution reaches n <= 0
     spec = AtomSpec(48, 1.5, 0.35)
     assert spec.nstar == pytest.approx(47.65)
+    # a bool is not read as 0 or 1, whether Python's or numpy's
+    for args in ((True, 0.5), (np.bool_(True), 0.5), (48, True), (48, np.bool_(True)),
+                 (48, 1.5, False), (48, 1.5, np.bool_(False))):
+        with pytest.raises(ValueError, match="must be a number, not a bool"):
+            AtomSpec(*args)
 
 
 def test_timescales_need_nstar_up_to_max_nbar():

@@ -26,7 +26,7 @@ from rydlab import (
     weights,
 )
 from rydlab.autocorr import phase_cycles
-from rydlab.superrevival import _DIRECT_MAX_L, NONZERO_WEIGHT_EPS
+from rydlab.superrevival import _DIRECT_MAX_L, NONZERO_WEIGHT_EPS, _chirp_dft
 
 REFERENCE_Q = (36, 18, 12, 9, 6)
 
@@ -251,6 +251,100 @@ def test_weights_against_high_precision_oracle():
         assert float(np.max(np.abs(pred.b - oracle))) < 1e-12
 
 
+# Worst ||b_s|^2 - 1/q| (q odd) or ||b_s|^2 - 2/q| (q even) of the order-2
+# chirp over the cases of test_chirp_dft_order2_closed_form: 1.1e-16 (the
+# direct sum and the FFT alike); the zeros of even q read |b_s|^2 <= 1.5e-33.
+# The bound leaves a factor of 4.
+ORDER2_TOLERANCE = 4.4e-16
+
+
+def test_chirp_dft_order2_closed_form():
+    """The order-2 chirp exp(-2*pi*i*p*k^2/q), the phase at p*t_rev/q, has
+    the Averbukh-Perelman fractional-revival weights (Phys. Lett. A 139,
+    449, 1989): for q odd, |b_s|^2 = 1/q at every s; for q even, exactly
+    q/2 of the |b_s|^2 are 2/q and the rest 0.  Every p coprime to q up to
+    q = 60 is summed directly; q = 651 and 652 at p = 1 and q - 1 take the
+    FFT."""
+    cases = [(q, p) for q in range(2, 61) for p in range(1, q) if math.gcd(p, q) == 1]
+    cases += [(q, p) for q in (651, 652) for p in (1, q - 1)]
+    assert 60 <= _DIRECT_MAX_L < 651
+    for q, p in cases:
+        probabilities = sorted(abs(v) ** 2 for v in _chirp_dft(-4 * p, 0, 4 * q, q, 1))
+        if q % 2:
+            expected = [1 / q] * q
+        else:
+            expected = [0.0] * (q // 2) + [2 / q] * (q // 2)
+        worst = max(abs(w - e) for w, e in zip(probabilities, expected))
+        assert worst <= ORDER2_TOLERANCE, f"q={q} p={p}: {worst}"
+
+
+def hexes(b):
+    return [(v.real.hex(), v.imag.hex()) for v in b]
+
+
+@pytest.mark.parametrize("L", [150, 651], ids=["direct", "fft"])
+def test_chirp_dft_alpha_only_relabels(L):
+    """For alpha coprime to L, _chirp_dft(..., alpha)[s] is
+    _chirp_dft(..., 1)[alpha*s mod L] bit for bit, on both branches."""
+    for a2, a3 in ((3 * 320, -4), (3 * 10**15, -4), (-4, 0)):
+        base = _chirp_dft(a2, a3, 4 * L, L, 1)
+        for alpha in (7, 11, 13, L - 1, 10**20 + 1):
+            if math.gcd(alpha, L) == 1:
+                relabelled = [base[alpha * s % L] for s in range(L)]
+                assert hexes(_chirp_dft(a2, a3, 4 * L, L, alpha)) == hexes(relabelled)
+
+
+def two_branch_b(nbar, q):
+    """The b_s and kind of weights as they were computed before _chirp_dft,
+    frozen as the golden reference: a direct sum and an FFT branch, each
+    forming its own chirp, alpha reorder and nonzero count."""
+
+    def unit_circle(m):
+        quarter = m // 4
+        c = [math.cos(math.tau * j / m) if 2 * j <= quarter
+             else math.sin(math.tau * (quarter - j) / m) for j in range(quarter)]
+        s = [0.0, *c[:0:-1]]
+        minus_c, minus_s = [-x for x in c], [-x for x in s]
+        return c + minus_s + minus_c + s, s + c + minus_s + minus_c
+
+    l, N, alpha = integer_constants(nbar, q)
+    m = 4 * q
+    if l <= 650:
+        cos, sin = unit_circle(m)
+        row = [(3 * nbar * k * k - 4 * k**3) % m for k in range(l)]
+        step = [m // l * k for k in range(l)]
+        dft = []
+        for _ in range(l):
+            dft.append(complex(math.fsum(map(cos.__getitem__, row)) / l,
+                               math.fsum(map(sin.__getitem__, row)) / l))
+            row = [(j + d) % m for j, d in zip(row, step)]
+        b = tuple(dft[alpha * s % l] for s in range(l))
+        nonzero = sum(abs(v) > NONZERO_WEIGHT_EPS for v in b)
+    else:
+        k = np.arange(l, dtype=np.int64)
+        chirp = ((3 * nbar) % m * (k * k % m) - 4 * (k * k % q) * k) % m
+        fft = np.fft.ifft(np.exp(2j * np.pi * chirp / m))[alpha % l * k % l]
+        nonzero = int(np.count_nonzero(np.abs(fft) > NONZERO_WEIGHT_EPS))
+        b = tuple(fft.tolist())
+    return b, "full" if nonzero == 1 else "fractional"
+
+
+@pytest.mark.parametrize(
+    "nbar, qs",
+    [(nbar, range(3, 151, 3)) for nbar in range(320, 328)] + [(640, (651, 1953))],
+    ids=[str(nbar) for nbar in range(320, 328)] + ["640-fft"],
+)
+def test_weights_match_the_two_branch_reference_bytes(nbar, qs):
+    """weights' b and kind equal the frozen two-branch computation byte for
+    byte (float.hex of every real and imaginary part), on the direct sum
+    (q = 3..150) and the FFT (l = 651 at q = 651 and 1953)."""
+    for q in qs:
+        pred = weights(nbar, q)
+        b, kind = two_branch_b(nbar, q)
+        assert hexes(pred.b) == hexes(b), f"nbar={nbar} q={q}"
+        assert pred.kind == kind, f"nbar={nbar} q={q}"
+
+
 def test_weights_periodicity_fields():
     """q=36 at nbar=320: fractional, recurring every t_rev/12."""
     pred = weights(320, 36)
@@ -464,12 +558,15 @@ def test_tables_refuse_in_one_order(table):
 
 
 def test_bool_nbar_is_refused():
-    """True is an int to isinstance, but not a quantum number; nor is a
-    value of any type that does not equal its int, which int() would
-    truncate to another nbar (np.float32(320.5) read as 320)."""
+    """True, Python's or numpy's, equals its int but is not a quantum number;
+    nor is a value of any type that does not equal its int, which int()
+    would truncate to another nbar (np.float32(320.5) read as 320)."""
     for call in (integer_constants, weights):
         with pytest.raises(ValueError, match="integer nbar, got True"):
             call(True, 6)
+        for nbar in (np.bool_(True), np.bool_(False)):  # as bools, not as nbar < 1
+            with pytest.raises(ValueError, match="integer nbar, got "):
+                call(nbar, 6)
         for nbar in (np.float32(320.5), Fraction(641, 2), 320.5, np.float64(320.5),
                      math.nan, math.inf, np.float32(math.nan), "320"):
             with pytest.raises(ValueError, match="integer nbar, got "):
