@@ -7,9 +7,10 @@ verify():                compare measured periodicities in the windows
                          around each predicted superrevival against the
                          predicted (3/q) t_rev values.
 
-verify() and `rydlab verify` judge through one loop, _verify, which plans the
-covered windows and asks a sample source for their samples (see _verify):
-verify() slices its signal, the command runs the |A|^2 kernel on each one.
+verify() and `rydlab verify` judge through one loop, _verify, which asks a
+sample function for each covered window's samples in turn (see _verify):
+verify() slices its signal, the command forms one |A|^2 kernel per window,
+on that window's own grid.
 """
 
 from __future__ import annotations
@@ -215,10 +216,12 @@ def verify(
     (relative).  Windows not fully covered by the signal yield status
     "not evaluated"; windows with fewer than three detected peaks fail.
     ValueError, before any window is searched, unless 0 < threshold <= 1
-    and tolerance is finite and > 0 (_check_detection).
+    and tolerance is finite and > 0 (_check_detection).  `rydlab verify`
+    gives bitwise the entries of this function on autocorrelation over
+    each window's own grid.
     """
     return _verify(predictions, TimeGrid(signal.t0, signal.dt, signal.values.size),
-                   lambda _: lambda start, stop: signal.values[start:stop], threshold, tolerance)
+                   lambda start, stop: signal.values[start:stop], threshold, tolerance)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -236,24 +239,18 @@ def _check_detection(threshold: float, tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
-def _verify(predictions: list[SuperrevivalTiming], grid: TimeGrid, source,
+def _verify(predictions: list[SuperrevivalTiming], grid: TimeGrid, samples,
             threshold: float, tolerance: float) -> list[VerificationEntry]:
-    """The entries of verify for |A|^2 on grid.  source(covered) is called
-    once, before any window is evaluated, with the (timing, (start, stop)) of
-    each window the grid covers, in order, and never when it covers none; it
-    returns samples(start, stop), the samples at grid indices [start, stop),
-    asked for each of those windows in order and dropped as soon as the last
-    one returns, before its samples are checked and judged."""
+    """The entries of verify for |A|^2 on grid.  samples(start, stop) gives
+    the samples at grid indices [start, stop); it is asked once for each
+    window the grid covers, in the order of predictions, and never for one it
+    does not cover, and the previous window is dropped before the next is
+    asked for."""
     _check_detection(threshold, tolerance)
-    plan = [(pred, _window_range(pred, grid)) for pred in predictions]
-    covered = [(pred, span) for pred, span in plan if span is not None]
-    samples = source(covered) if covered else None
-    entries, left = [], len(covered)
-    for pred, span in plan:
-        window = values = None  # not held while the next window is evaluated
+    entries = []
+    for pred in predictions:
+        span, window = _window_range(pred, grid), None
         if span is not None:
-            values, left = samples(*span), left - 1
-            samples = samples if left else None
-            window = Signal(grid.t0 + grid.dt * span[0], grid.dt, values)
+            window = Signal(grid.t0 + grid.dt * span[0], grid.dt, samples(*span))
         entries.append(_judge(pred, window, threshold, tolerance))
     return entries

@@ -23,8 +23,9 @@ the formatter there would add numpy and its import time.  Identical flags
 produce byte-identical output, whatever the chunk size.  `verify` forms each q's
 time and periodicity only (rydlab.superrevival.timing_table), no weights,
 so it runs no FFT and loads no numpy.fft.  It evaluates only the windows
-t_sr/q +- t_rev it searches, bitwise as on the whole grid from t = 0, from
-one kernel whose lifetime the loop of rydlab.verify sets (analysis._verify).
+t_sr/q +- t_rev it searches, each by its own kernel on its own grid, freed
+before the window is judged, so its entries are bitwise those of
+rydlab.verify on autocorrelation over each window's grid (analysis._verify).
 A process imports only the layers its command runs: this module imports
 the argparse stack only (argparse, gc, math, os, re, sys), each function
 imports the modules it uses, json and rydlab.spectrum included, and the
@@ -75,10 +76,6 @@ SAMPLES_PER_CLASSICAL_PERIOD = 20
 # the grid); larger sizes are usage errors rather than a MemoryError
 # halfway through.
 MAX_SAMPLES = 10**7
-
-# Largest grid `verify` indexes: sample indices and grid times stay exact
-# in double arithmetic below 2^53.
-MAX_GRID_INDEX = 2**53
 
 # Largest --q.  `predict` forms l <= q weights per q, and their inverse FFT
 # peaks at ~176 bytes per weight when l has a large prime factor (measured
@@ -328,31 +325,22 @@ def cmd_verify(parser, args) -> int:
     # the windows and their verdicts need each q's time and periodicity only
     timings = _per_q(parser, args, spec, timing_table)
     scales = timescales(spec)
-    # The grid runs from t = 0 to the last window; only the windows are
-    # evaluated, each bitwise as a run over the whole grid would give it.
-    t_end = timings[-1].time_center + scales.t_rev
+    # The windows are planned on the grid from t = 0 to the last window, and
+    # each is evaluated on its own grid, by a kernel freed when it returns.
     dt = scales.t_cl / SAMPLES_PER_CLASSICAL_PERIOD
-    count = int(math.ceil(t_end / dt)) + 2
-    if count > MAX_GRID_INDEX:
-        parser.error(
-            f"verify would index {count} samples to reach t_sr/{timings[-1].q}, more than "
-            f"{MAX_GRID_INDEX}; use larger --q or smaller --nbar"
-        )
+    count = int(math.ceil((timings[-1].time_center + scales.t_rev) / dt)) + 2
     grid = TimeGrid(t0=0.0, dt=dt, count=count)
-    coeffs = gaussian_packet(spec)
+    coeffs, model = gaussian_packet(spec), PhaseModel(args.model)
 
-    def source(covered):
-        for timing, (start, stop) in covered:
-            if stop - start > MAX_SAMPLES:
-                parser.error(
-                    f"verify would hold {stop - start} samples in the window at "
-                    f"t_sr/{timing.q}, more than the {MAX_SAMPLES} sample budget; use "
-                    "smaller --nbar"
-                )
-        # the tables, formed once every window passes: their limits are usage errors
-        return _usage(parser, _a2_kernel, coeffs, PhaseModel(args.model), spec, grid).evaluate
+    def samples(start, stop):
+        if stop - start > MAX_SAMPLES:
+            parser.error(f"verify would hold {stop - start} samples in a window t_sr/q +- "
+                         f"t_rev, more than the {MAX_SAMPLES} sample budget; use smaller --nbar")
+        window = TimeGrid(grid.t0 + grid.dt * start, grid.dt, stop - start)
+        # the window's tables: their limits are usage errors
+        return _usage(parser, _a2_kernel, coeffs, model, spec, window).evaluate(0, stop - start)
 
-    entries = _verify(timings, grid, source, args.threshold, args.tolerance)
+    entries = _verify(timings, grid, samples, args.threshold, args.tolerance)
     judged = [e.status for e in entries if e.status != "not evaluated"]
     all_pass = bool(judged) and all(status == "pass" for status in judged)
     record = {

@@ -46,6 +46,14 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
 
 
+def _check_number(name: str, value) -> None:
+    """ValueError for a bool or numpy.bool_ (_is_bool), a str or bytes, which
+    float() would read as a number."""
+    if _is_bool(value) or isinstance(value, (str, bytes)):
+        kind = "bool" if _is_bool(value) else type(value).__name__
+        raise ValueError(f"{name} must be a number, not a {kind}; got {value!r}")
+
+
 class _Record:
     """Base of the frozen record types.
 
@@ -127,8 +135,7 @@ class AtomSpec(_Record):
     def __post_init__(self):
         for field in self._fields:
             value = getattr(self, field)
-            if _is_bool(value):
-                raise ValueError(f"{field} must be a number, not a bool; got {value!r}")
+            _check_number(field, value)
             object.__setattr__(self, field, float(value))
         if not (self.nbar >= 1.0):
             raise ValueError(f"nbar must be >= 1, got {self.nbar}")

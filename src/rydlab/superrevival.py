@@ -35,7 +35,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .spectrum import AtomSpec, _is_bool, _Record, timescales_from_nstar
+from .spectrum import AtomSpec, _check_number, _is_bool, _Record, timescales_from_nstar
 
 if TYPE_CHECKING:
     from .packet import CoefficientSet
@@ -139,7 +139,9 @@ def integer_constants(nbar, q) -> IntegerConstants:
 
 def timing(nstar, q) -> SuperrevivalTiming:
     """The time center t_sr/q and periodicity (3/q) t_rev at effective
-    quantum number nstar: all that verify reads of a prediction."""
+    quantum number nstar (a number: not a bool, str or bytes): all that
+    verify reads of a prediction."""
+    _check_number("nstar", nstar)
     q = _as_q(q)
     scales = timescales_from_nstar(float(nstar))
     return SuperrevivalTiming(

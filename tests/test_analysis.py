@@ -245,37 +245,33 @@ def test_verify_rejects_bad_detection_parameters(detection, spec48, signal48):
         _verify(preds, grid, unreachable, **detection)
 
 
-def recording_source(signal: Signal, calls: list, refs: list):
-    """A sample source for _verify that slices signal, appending the covered
-    windows it is given and each (start, stop) it is asked for to calls, and
-    a weak reference to each samples it returns to refs."""
-    class Samples:
-        def __call__(self, start, stop):
-            calls.append((start, stop))
-            return signal.values[start:stop]
+class RecordedSamples:
+    """A sample function for _verify that slices signal, appending each
+    (start, stop) it is asked for to calls, and a weak reference to each
+    array it returns to refs, taken by _verify's window."""
 
-    def source(covered):
-        calls.append(list(covered))
-        samples = Samples()
-        refs.append(weakref.ref(samples))
-        return samples
+    def __init__(self, signal: Signal):
+        self.signal, self.calls, self.refs = signal, [], []
 
-    return source
+    def __call__(self, start, stop):
+        self.calls.append((start, stop))
+        values = np.array(self.signal.values[start:stop])
+        self.refs.append(weakref.ref(values))
+        return values
 
 
 def signal_grid(signal: Signal) -> TimeGrid:
     return TimeGrid(signal.t0, signal.dt, signal.values.size)
 
 
-def test_verify_plans_its_windows_before_it_asks_for_samples(spec48, signal48):
-    """The source is called once, with the (timing, span) of every covered
-    window in time order, before any samples are asked for; the spans are
-    the index ranges Signal.window selects, and q = 39, whose window starts
-    before t = 0 at nbar = 48, is not among them."""
+def test_verify_asks_samples_once_per_covered_window_in_order(spec48, signal48):
+    """samples is asked once for each covered window, in time order, for
+    the index range Signal.window selects, and never for q = 39, whose
+    window starts before t = 0 at nbar = 48."""
     timings = timing_table(spec48, (6, 39, 12))
-    calls, refs = [], []
-    entries = _verify(timings, signal_grid(signal48), recording_source(signal48, calls, refs),
-                      DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
+    samples = RecordedSamples(signal48)
+    entries = _verify(timings, signal_grid(signal48), samples, DEFAULT_THRESHOLD,
+                      DEFAULT_TOLERANCE)
     spans = []
     for t in timings[1:]:
         t_rev = t.periodicity * t.q / 3.0
@@ -283,38 +279,35 @@ def test_verify_plans_its_windows_before_it_asks_for_samples(spec48, signal48):
         start = round((window.t0 - signal48.t0) / signal48.dt)
         spans.append((start, start + window.values.size))
     assert [t.q for t in timings] == [39, 12, 6]
-    assert calls == [list(zip(timings[1:], spans)), *spans]
+    assert samples.calls == spans
     assert entries == verify(timings, signal48)
     assert [e.status for e in entries] == ["not evaluated", "pass", "pass"]
 
 
-def test_verify_asks_no_source_when_no_window_is_covered(spec48, signal48):
-    def unreachable(covered):
-        raise AssertionError("a source was asked for samples")
+def test_verify_asks_no_samples_when_no_window_is_covered(spec48, signal48):
+    def unreachable(start, stop):
+        raise AssertionError("samples were asked for")
 
     entries = _verify(timing_table(spec48, (39,)), signal_grid(signal48), unreachable,
                       DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
     assert [e.status for e in entries] == ["not evaluated"]
 
 
-def test_verify_drops_its_samples_before_the_last_window_is_judged(
-    spec48, signal48, monkeypatch
-):
-    """samples is held from the first window and unreachable by the time the
-    last window's peaks are judged."""
-    judge = analysis._judge
-    calls, refs, dropped = [], [], []
+def test_verify_drops_each_window_before_it_asks_for_the_next(spec48, signal48):
+    """The samples of a window are unreachable by the time the next window
+    is asked for, and after the last window is judged."""
+    samples = RecordedSamples(signal48)
+    held = []
 
-    def judged(pred, window, *args):
-        if window is not None:
-            dropped.append(refs[0]() is None)
-        return judge(pred, window, *args)
+    def recorded(start, stop):
+        held.append(sum(ref() is not None for ref in samples.refs))
+        return samples(start, stop)
 
-    monkeypatch.setattr(analysis, "_judge", judged)
-    _verify(timing_table(spec48, (39, 12, 6)), signal_grid(signal48),
-            recording_source(signal48, calls, refs), DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
-    assert len(refs) == 1
-    assert dropped == [False, True]
+    _verify(timing_table(spec48, (39, 18, 12, 6)), signal_grid(signal48), recorded,
+            DEFAULT_THRESHOLD, DEFAULT_TOLERANCE)
+    assert len(samples.refs) == 3
+    assert held == [0, 0, 0]
+    assert all(ref() is None for ref in samples.refs)
 
 
 # The tallest-first selection as it was before the nearest-neighbour bisect:

@@ -148,6 +148,11 @@ def test_atom_spec_validation():
                  (48, 1.5, False), (48, 1.5, np.bool_(False))):
         with pytest.raises(ValueError, match="must be a number, not a bool"):
             AtomSpec(*args)
+    # nor is text read as a number, as float() would read it
+    for args, kind in ((("48", 1.5), "str"), ((48, "1.5"), "str"), ((48, 1.5, " 0.35 "), "str"),
+                       ((b"48", 1.5), "bytes"), ((48, 1.5, b"0.35"), "bytes")):
+        with pytest.raises(ValueError, match=f"must be a number, not a {kind}; got "):
+            AtomSpec(*args)
 
 
 def test_timescales_need_nstar_up_to_max_nbar():

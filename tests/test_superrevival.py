@@ -577,6 +577,18 @@ def test_bool_nbar_is_refused():
         assert weights(nbar, 6) == weights(320, 6)
 
 
+def test_timing_refuses_bool_and_text_nstar():
+    """timing reads n* with float(), which takes True as 1 and "320" as 320:
+    a bool, Python's or numpy's, and text are refused, as weights refuses
+    them, while any real number type is read as before."""
+    for nstar, kind in ((True, "bool"), (np.bool_(True), "bool"), (False, "bool"),
+                        ("320", "str"), (" 320 ", "str"), (b"320", "bytes")):
+        with pytest.raises(ValueError, match=f"nstar must be a number, not a {kind}; got "):
+            timing(nstar, 6)
+    for nstar in (320.0, np.int64(320), np.float32(320.0), Fraction(640, 2)):
+        assert timing(nstar, 6) == timing(320, 6)
+
+
 def test_fraction_spec_refuses_bool():
     """FractionSpec(True) is not a q of 1: it fails as a non-integer."""
     for q in (True, False, np.bool_(True)):
